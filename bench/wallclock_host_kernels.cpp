@@ -5,11 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "bench_common.hpp"
+#include "kernels/native_backend.hpp"
 #include "rsformat/cpu_engine.hpp"
 #include "rsformat/rsmatrix.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/parallel_spmv.hpp"
 #include "sparse/reference.hpp"
@@ -115,6 +117,30 @@ void BM_Transpose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Transpose);
+
+/// The optimizers' gradient-engine build: transpose one row block (the
+/// middle half, like one scenario of a stacked forward engine) of the
+/// half-precision storage.  Arg = native threads; 0 = all hardware threads.
+void BM_TransposeHalfRowBlock(benchmark::State& state) {
+  static const auto half =
+      pd::sparse::convert_values<pd::Half>(beam().matrix);
+  pd::kernels::NativeExecutor exec;
+  exec.set_threads(static_cast<unsigned>(state.range(0)));
+  const auto run = [&exec](std::size_t parts,
+                           const std::function<void(std::size_t)>& fn) {
+    exec.run(parts, fn);
+  };
+  const std::uint64_t begin = half.num_rows / 4;
+  const std::uint64_t end = 3 * half.num_rows / 4;
+  for (auto _ : state) {
+    auto t = pd::sparse::transpose(half, begin, end, exec.resolved_threads(),
+                                   run);
+    benchmark::DoNotOptimize(t.values.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (half.row_ptr[end] - half.row_ptr[begin]));
+}
+BENCHMARK(BM_TransposeHalfRowBlock)->Arg(1)->Arg(0);
 
 void BM_SellCsConversion(benchmark::State& state) {
   const auto& D = beam().matrix;

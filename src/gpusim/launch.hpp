@@ -110,6 +110,11 @@ class Gpu {
 
   /// Cold-start the cache so back-to-back measurements are independent.
   void invalidate_cache() { mem_.invalidate_cache(); }
+  /// Host bytes of the simulated L2's line arrays (0 until a launch that
+  /// models traffic has touched the cache).
+  std::uint64_t cache_resident_bytes() const {
+    return mem_.cache_resident_bytes();
+  }
 
   /// Select the engine mode for subsequent launches.
   void set_engine(const EngineOptions& opts) {

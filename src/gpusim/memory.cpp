@@ -110,6 +110,9 @@ CacheModel::CacheModel(std::uint64_t capacity_bytes, unsigned ways)
   PD_CHECK_MSG(capacity_bytes_ >= kSector * ways_, "CacheModel: capacity too small");
   PD_CHECK_MSG(ways_ <= 0xffffu, "CacheModel: too many ways");
   sets_ = capacity_bytes_ / kSector / ways_;
+}
+
+void CacheModel::allocate() {
   lines_.assign(sets_ * ways_, Way{});
   set_tick_.assign(sets_, 0);
   mru_way_.assign(sets_, 0);
@@ -162,6 +165,9 @@ bool CacheModel::fill_way(Way* base, std::uint64_t sector_index, bool write,
 
 bool CacheModel::access(std::uint64_t sector_index, bool write,
                         TrafficCounters& tc) {
+  if (lines_.empty()) {
+    allocate();
+  }
   const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
   Way* base = &lines_[set * ways_];
   const std::uint64_t stamp = ++set_tick_[set];
@@ -196,6 +202,9 @@ bool CacheModel::access(std::uint64_t sector_index, bool write,
 
 bool CacheModel::access_reference(std::uint64_t sector_index, bool write,
                                   TrafficCounters& tc) {
+  if (lines_.empty()) {
+    allocate();
+  }
   const std::size_t set = static_cast<std::size_t>(sector_index % sets_);
   Way* base = &lines_[set * ways_];
   ++tick_;

@@ -102,6 +102,10 @@ void coalesce_warp_sectors_reference(const Lanes<std::uint64_t>& addr,
 /// Set-associative LRU sector cache with write-back / write-allocate policy.
 class CacheModel {
  public:
+  /// Sizes the cache without allocating it: the line arrays (24 B per way,
+  /// ~32 MiB for a 40 MiB L2) are allocated on the first access, so engines
+  /// that never run a counting launch never pay for them.  Until then the
+  /// cache is cold, and flush_dirty / invalidate have nothing to do.
   CacheModel(std::uint64_t capacity_bytes, unsigned ways);
 
   /// Probe one sector; updates counters.  `write` marks the line dirty.
@@ -125,6 +129,12 @@ class CacheModel {
 
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   std::size_t sets() const { return sets_; }
+  /// Host bytes held by the line arrays (0 until the first access).
+  std::uint64_t resident_bytes() const {
+    return lines_.size() * sizeof(Way) +
+           set_tick_.size() * sizeof(std::uint64_t) +
+           mru_way_.size() * sizeof(std::uint16_t);
+  }
 
  private:
   struct Way {
@@ -133,6 +143,7 @@ class CacheModel {
     bool valid = false;
     bool dirty = false;
   };
+  void allocate();
   bool hit_way(Way& way, bool write, TrafficCounters& tc, std::uint64_t stamp);
   bool fill_way(Way* base, std::uint64_t sector_index, bool write,
                 TrafficCounters& tc, std::uint64_t stamp, unsigned* way_out);
@@ -177,6 +188,7 @@ class MemoryModel {
   void begin_kernel();                       ///< Zero the per-kernel counters.
   TrafficCounters end_kernel();              ///< Flush dirty lines, return counters.
   void invalidate_cache() { cache_.invalidate(); }
+  std::uint64_t cache_resident_bytes() const { return cache_.resident_bytes(); }
 
   const TrafficCounters& counters() const { return counters_; }
 

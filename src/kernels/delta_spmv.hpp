@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -55,32 +56,17 @@ struct CscSidecar {
   }
 };
 
-/// Counting-sort transpose: histogram the columns, prefix-sum, then scatter
-/// the CSR entries in row order.  CSR rows ascend, so each column's rows come
-/// out ascending — the deterministic traversal order both delta modes use.
+/// The sidecar is the transpose of the widened matrix (sparse::transpose),
+/// its arrays moved in: CSR rows ascend, so each column's rows come out
+/// ascending — the deterministic traversal order both delta modes use.
 inline CscSidecar build_csc_sidecar(const sparse::CsrF64& wide) {
+  sparse::CsrF64 t = sparse::transpose(wide);
   CscSidecar csc;
   csc.num_rows = wide.num_rows;
   csc.num_cols = wide.num_cols;
-  const std::uint64_t nnz = wide.nnz();
-  csc.col_ptr.assign(wide.num_cols + 1, 0);
-  csc.row_idx.resize(nnz);
-  csc.values.resize(nnz);
-  for (std::uint64_t k = 0; k < nnz; ++k) {
-    ++csc.col_ptr[wide.col_idx[k] + 1];
-  }
-  for (std::uint64_t c = 0; c < wide.num_cols; ++c) {
-    csc.col_ptr[c + 1] += csc.col_ptr[c];
-  }
-  std::vector<std::uint32_t> cursor(csc.col_ptr.begin(), csc.col_ptr.end() - 1);
-  for (std::uint32_t r = 0; r < wide.num_rows; ++r) {
-    for (std::uint32_t k = wide.row_ptr[r]; k < wide.row_ptr[r + 1]; ++k) {
-      const std::uint32_t c = wide.col_idx[k];
-      const std::uint32_t slot = cursor[c]++;
-      csc.row_idx[slot] = r;
-      csc.values[slot] = wide.values[k];
-    }
-  }
+  csc.col_ptr = std::move(t.row_ptr);
+  csc.row_idx = std::move(t.col_idx);
+  csc.values = std::move(t.values);
   return csc;
 }
 

@@ -15,27 +15,24 @@
 
 namespace pd::kernels {
 
-DoseEngine::DoseEngine(sparse::CsrF64 matrix, gpusim::DeviceSpec device,
-                       Mode mode, unsigned threads_per_block, Family family,
-                       Backend backend)
+DoseEngine::DoseEngine(Mode mode, Family family, Backend backend,
+                       unsigned threads_per_block, gpusim::DeviceSpec device)
     : mode_(mode),
       family_(family),
       backend_(backend),
-      threads_per_block_(threads_per_block) {
-  matrix.validate();
-  stats_ = sparse::compute_stats(matrix);
-  // Host-side analysis runs on the structure, which every precision mode
-  // shares with the double input.
-  switch (family_) {
-    case Family::kRowSplit:
-      rowsplit_plan_ = build_row_split_plan(matrix);
-      break;
-    case Family::kAdaptive:
-      adaptive_worklist_ = build_adaptive_worklist(matrix);
-      break;
-    default:
-      break;
+      threads_per_block_(threads_per_block),
+      gpu_(std::make_unique<gpusim::Gpu>(std::move(device))) {
+  if (gpusim::simcheck_env_enabled()) {
+    gpu_->enable_check();
   }
+}
+
+DoseEngine::DoseEngine(sparse::CsrF64 matrix, gpusim::DeviceSpec device,
+                       Mode mode, unsigned threads_per_block, Family family,
+                       Backend backend)
+    : DoseEngine(mode, family, backend, threads_per_block, std::move(device)) {
+  matrix.validate();
+  analyze_structure(matrix);
   switch (mode_) {
     case Mode::kHalfDouble:
       half_matrix_ = sparse::convert_values<pd::Half>(matrix);
@@ -47,10 +44,75 @@ DoseEngine::DoseEngine(sparse::CsrF64 matrix, gpusim::DeviceSpec device,
       double_matrix_ = std::move(matrix);
       break;
   }
-  gpu_ = std::make_unique<gpusim::Gpu>(std::move(device));
-  if (gpusim::simcheck_env_enabled()) {
-    gpu_->enable_check();
+}
+
+DoseEngine::DoseEngine(std::span<const sparse::CsrF64> row_blocks,
+                       gpusim::DeviceSpec device, Mode mode,
+                       unsigned threads_per_block, Family family,
+                       Backend backend)
+    : DoseEngine(mode, family, backend, threads_per_block, std::move(device)) {
+  for (const sparse::CsrF64& block : row_blocks) {
+    block.validate();
   }
+  switch (mode_) {
+    case Mode::kHalfDouble:
+      half_matrix_ = sparse::vstack_rows_as<pd::Half>(row_blocks);
+      analyze_structure(half_matrix_);
+      break;
+    case Mode::kSingle:
+      single_matrix_ = sparse::vstack_rows_as<float>(row_blocks);
+      analyze_structure(single_matrix_);
+      break;
+    case Mode::kDouble:
+      double_matrix_ = sparse::vstack_rows(row_blocks);
+      analyze_structure(double_matrix_);
+      break;
+  }
+}
+
+template <typename V>
+void DoseEngine::analyze_structure(const sparse::CsrMatrix<V>& matrix) {
+  stats_ = sparse::compute_stats(matrix);
+  switch (family_) {
+    case Family::kRowSplit:
+      rowsplit_plan_ = build_row_split_plan(matrix);
+      break;
+    case Family::kAdaptive:
+      adaptive_worklist_ = build_adaptive_worklist(matrix);
+      break;
+    default:
+      break;
+  }
+}
+
+DoseEngine DoseEngine::transposed(std::uint64_t row_begin,
+                                  std::uint64_t row_end) {
+  DoseEngine t(mode_, family_, backend_, threads_per_block_, gpu_->spec());
+  t.set_engine_options(engine_options());
+  t.native_.set_threads(native_.requested_threads());
+  const std::size_t parts = native_.resolved_threads();
+  const auto run = [this](std::size_t n,
+                          const std::function<void(std::size_t)>& fn) {
+    native_.run(n, fn);
+  };
+  switch (mode_) {
+    case Mode::kHalfDouble:
+      t.half_matrix_ =
+          sparse::transpose(half_matrix_, row_begin, row_end, parts, run);
+      t.analyze_structure(t.half_matrix_);
+      break;
+    case Mode::kSingle:
+      t.single_matrix_ =
+          sparse::transpose(single_matrix_, row_begin, row_end, parts, run);
+      t.analyze_structure(t.single_matrix_);
+      break;
+    case Mode::kDouble:
+      t.double_matrix_ =
+          sparse::transpose(double_matrix_, row_begin, row_end, parts, run);
+      t.analyze_structure(t.double_matrix_);
+      break;
+  }
+  return t;
 }
 
 DoseEngine::~DoseEngine() = default;

@@ -103,6 +103,29 @@ class DoseEngine {
              Family family = Family::kVector,
              Backend backend = Backend::kGpusim);
 
+  /// Engine of `row_blocks` stacked row-wise (sparse::vstack_rows: blocks
+  /// share one column space), each block's values converted straight into
+  /// the mode's storage — no stacked double copy is built.  Same storage,
+  /// stats and products as the single-matrix constructor on the stack.
+  DoseEngine(std::span<const sparse::CsrF64> row_blocks,
+             gpusim::DeviceSpec device, Mode mode = Mode::kHalfDouble,
+             unsigned threads_per_block = kDefaultVectorTpb,
+             Family family = Family::kVector,
+             Backend backend = Backend::kGpusim);
+
+  /// The engine of the transpose of rows [row_begin, row_end) of the stored
+  /// matrix — the gradient operator Dᵀ of that row block.  Built by
+  /// permuting the stored (half / single / double) values with
+  /// sparse::transpose, never by widening and re-converting them: conversion
+  /// is per element and a transpose only moves elements, so the result's
+  /// storage equals the storage of an engine built from the transposed
+  /// double input, entry for entry, and its products are bitwise equal.
+  /// Inherits mode, family, backend, threads per block, native threads and
+  /// engine options; the transpose runs on this engine's native threads.
+  /// The new engine starts in the bitwise tier with no fast or delta state.
+  DoseEngine transposed(std::uint64_t row_begin, std::uint64_t row_end);
+  DoseEngine transposed() { return transposed(0, num_voxels()); }
+
   DoseEngine(const DoseEngine&) = delete;
   DoseEngine& operator=(const DoseEngine&) = delete;
   DoseEngine(DoseEngine&&) = default;
@@ -243,7 +266,20 @@ class DoseEngine {
   /// Modeled performance of the most recent gpusim compute() on this device.
   gpusim::PerfEstimate last_estimate() const;
 
+  /// Host bytes of the simulated L2 — allocated by the first gpusim compute
+  /// that models traffic, so 0 for engines that only run natively or
+  /// functional-only.
+  std::uint64_t sim_cache_bytes() const { return gpu_->cache_resident_bytes(); }
+
  private:
+  /// Empty engine with the given configuration; the caller fills one
+  /// storage matrix and then calls analyze_structure().
+  DoseEngine(Mode mode, Family family, Backend backend,
+             unsigned threads_per_block, gpusim::DeviceSpec device);
+  /// Stats and the family's host-side analysis, from any matrix with the
+  /// stored structure (structure is shared by every precision).
+  template <typename V>
+  void analyze_structure(const sparse::CsrMatrix<V>& matrix);
   template <typename MatV, typename Acc>
   void execute(const sparse::CsrMatrix<MatV>& A, std::span<const Acc> x,
                std::span<Acc> y, std::uint64_t schedule_seed);

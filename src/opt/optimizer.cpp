@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "kernels/tuner.hpp"
-#include "sparse/coo.hpp"
 
 namespace pd::opt {
 
@@ -74,25 +73,28 @@ double changed_fraction(const std::vector<double>& a,
                          static_cast<double>(a.size());
 }
 
+kernels::DoseEngine make_forward_engine(const sparse::CsrF64& D,
+                                        gpusim::DeviceSpec device,
+                                        const OptimizerConfig& config) {
+  kernels::DoseEngine engine(sparse::CsrF64(D), std::move(device), config.mode,
+                             kernels::kDefaultVectorTpb,
+                             kernels::SpmvFamily::kVector, config.backend);
+  engine.set_engine_options(config.engine);
+  engine.set_native_threads(config.native_threads);
+  return engine;
+}
+
 }  // namespace
 
 PlanOptimizer::PlanOptimizer(const sparse::CsrF64& D, DoseObjective objective,
                              gpusim::DeviceSpec device, OptimizerConfig config)
     : objective_(std::move(objective)),
       config_(config),
-      forward_(sparse::CsrF64(D), device, config.mode,
-               kernels::kDefaultVectorTpb, kernels::SpmvFamily::kVector,
-               config.backend),
-      transpose_(sparse::transpose(D), device, config.mode,
-                 kernels::kDefaultVectorTpb, kernels::SpmvFamily::kVector,
-                 config.backend) {
+      forward_(make_forward_engine(D, std::move(device), config)),
+      transpose_(forward_.transposed()) {
   setup_seconds_ = setup_timer_.seconds();
   PD_CHECK_MSG(config_.max_iterations > 0, "optimizer: need >= 1 iteration");
   PD_CHECK_MSG(config_.lbfgs_history > 0, "optimizer: need >= 1 history pair");
-  forward_.set_engine_options(config_.engine);
-  transpose_.set_engine_options(config_.engine);
-  forward_.set_native_threads(config_.native_threads);
-  transpose_.set_native_threads(config_.native_threads);
 }
 
 OptimizerResult PlanOptimizer::optimize() {

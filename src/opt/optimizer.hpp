@@ -103,7 +103,7 @@ class PlanOptimizer {
   WallTimer setup_timer_;  ///< Declared before the engines to time their
                            ///< construction (members initialize in order).
   kernels::DoseEngine forward_;
-  kernels::DoseEngine transpose_;
+  kernels::DoseEngine transpose_;  ///< forward_.transposed(), built second.
   double setup_seconds_ = 0.0;
 };
 

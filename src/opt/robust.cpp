@@ -6,17 +6,15 @@
 #include <span>
 
 #include "common/error.hpp"
-#include "sparse/coo.hpp"
-#include "sparse/partition.hpp"
 
 namespace pd::opt {
 
 namespace {
 
-kernels::DoseEngine make_engine(sparse::CsrF64 matrix,
+kernels::DoseEngine make_engine(std::span<const sparse::CsrF64> row_blocks,
                                 const gpusim::DeviceSpec& device,
                                 const RobustConfig& config) {
-  kernels::DoseEngine engine(std::move(matrix), device, config.precision,
+  kernels::DoseEngine engine(row_blocks, device, config.precision,
                              kernels::kDefaultVectorTpb,
                              kernels::SpmvFamily::kVector, config.backend);
   engine.set_engine_options(config.engine);
@@ -33,7 +31,6 @@ RobustPlanOptimizer::RobustPlanOptimizer(std::vector<sparse::CsrF64> scenarios,
                                          std::vector<double> weights)
     : objective_(std::move(objective)),
       config_(config),
-      device_(device),
       scenario_weights_(std::move(weights)) {
   PD_CHECK_MSG(!scenarios.empty(), "robust: need at least one scenario");
   const std::uint64_t cols = scenarios.front().num_cols;
@@ -59,27 +56,21 @@ RobustPlanOptimizer::RobustPlanOptimizer(std::vector<sparse::CsrF64> scenarios,
   rows_per_scenario_ = rows;
 
   WallTimer timer;
-  if (num_scenarios_ > 1 &&
-      total_nnz <= std::numeric_limits<std::uint32_t>::max()) {
-    forward_stacked_ = std::make_unique<kernels::DoseEngine>(make_engine(
-        sparse::vstack_rows(std::span<const sparse::CsrF64>(scenarios)),
-        device_, config_));
-  } else if (num_scenarios_ == 1) {
-    // One scenario: the "stack" is the matrix itself; skip the copy.
+  if (total_nnz <= std::numeric_limits<std::uint32_t>::max()) {
     forward_stacked_ = std::make_unique<kernels::DoseEngine>(
-        make_engine(sparse::CsrF64(scenarios.front()), device_, config_));
+        make_engine(scenarios, device, config_));
   } else {
     // Stacked offsets would overflow 32-bit row_ptr: keep one forward
     // engine per scenario and loop them in evaluate().
     for (const auto& s : scenarios) {
       forward_split_.push_back(std::make_unique<kernels::DoseEngine>(
-          make_engine(sparse::CsrF64(s), device_, config_)));
+          make_engine(std::span<const sparse::CsrF64>(&s, 1), device,
+                      config_)));
     }
   }
-  // Transpose engines are built lazily in transpose_engine(); keep the
-  // scenario matrices as their sources until then.
+  // Transpose engines are built lazily in transpose_engine() from the
+  // forward engines' stored values; the double scenarios are not kept.
   transpose_.resize(num_scenarios_);
-  scenario_matrices_ = std::move(scenarios);
   setup_seconds_ = timer.seconds();
 }
 
@@ -87,9 +78,10 @@ kernels::DoseEngine& RobustPlanOptimizer::transpose_engine(std::size_t k) {
   if (!transpose_[k]) {
     WallTimer timer;
     transpose_[k] = std::make_unique<kernels::DoseEngine>(
-        make_engine(sparse::transpose(scenario_matrices_[k]), device_,
-                    config_));
-    scenario_matrices_[k] = sparse::CsrF64{};  // source no longer needed
+        forward_stacked_
+            ? forward_stacked_->transposed(k * rows_per_scenario_,
+                                           (k + 1) * rows_per_scenario_)
+            : forward_split_[k]->transposed());
     setup_seconds_ += timer.seconds();
   }
   return *transpose_[k];

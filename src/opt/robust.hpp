@@ -81,13 +81,13 @@ class RobustPlanOptimizer {
   };
   Evaluation evaluate(const std::vector<double>& x, std::uint64_t* spmv_count);
   double combine(const std::vector<double>& per_scenario) const;
-  /// Lazily build (and cache) scenario k's transpose engine.  Scenarios the
-  /// softmax skip never activates never pay their transpose + conversion.
+  /// Lazily build (and cache) scenario k's transpose engine by transposing
+  /// its row block of the forward engine's stored values.  Scenarios the
+  /// softmax skip never activates never pay their transpose.
   kernels::DoseEngine& transpose_engine(std::size_t k);
 
   DoseObjective objective_;
   RobustConfig config_;
-  gpusim::DeviceSpec device_;
   std::vector<double> scenario_weights_;
   std::size_t num_scenarios_ = 0;
   std::uint64_t rows_per_scenario_ = 0;
@@ -100,8 +100,6 @@ class RobustPlanOptimizer {
   std::vector<std::unique_ptr<kernels::DoseEngine>> forward_split_;
   /// Transpose engines, built on first use; slot k is null until then.
   std::vector<std::unique_ptr<kernels::DoseEngine>> transpose_;
-  /// Sources for lazy transpose builds; slot k is released once built.
-  std::vector<sparse::CsrF64> scenario_matrices_;
   double setup_seconds_ = 0.0;
 };
 

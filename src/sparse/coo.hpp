@@ -101,7 +101,7 @@ CsrMatrix<V, I> coo_to_csr(const CooMatrix<V>& coo) {
   return csr;
 }
 
-/// Expand CSR back to row-sorted COO (for round-trip tests and transpose).
+/// Expand CSR back to row-sorted COO (for round-trip tests).
 template <typename V, typename I>
 CooMatrix<V> csr_to_coo(const CsrMatrix<V, I>& csr) {
   CooMatrix<V> coo;
@@ -116,23 +116,6 @@ CooMatrix<V> csr_to_coo(const CsrMatrix<V, I>& csr) {
     }
   }
   return coo;
-}
-
-/// Transpose via COO relabeling (used for the optimizer's gradient D^T g).
-template <typename V, typename I>
-CsrMatrix<V, I> transpose(const CsrMatrix<V, I>& csr) {
-  CooMatrix<V> coo;
-  coo.num_rows = csr.num_cols;
-  coo.num_cols = csr.num_rows;
-  coo.entries.reserve(csr.nnz());
-  for (std::uint64_t r = 0; r < csr.num_rows; ++r) {
-    for (std::uint32_t k = csr.row_ptr[r]; k < csr.row_ptr[r + 1]; ++k) {
-      coo.entries.push_back(CooEntry<V>{static_cast<std::uint32_t>(csr.col_idx[k]),
-                                        static_cast<std::uint32_t>(r),
-                                        csr.values[k]});
-    }
-  }
-  return coo_to_csr<V, I>(coo);
 }
 
 }  // namespace pd::sparse

@@ -102,15 +102,17 @@ CsrMatrix<V, I> extract_row_block(const CsrMatrix<V, I>& m,
 }
 
 /// Inverse of extract_row_block: stack blocks sharing a column space on top
-/// of each other.  RobustPlanOptimizer uses this to fuse its K scenario
-/// matrices into one engine whose single traversal yields every scenario
-/// dose; because each row's result depends only on that row's entries and x,
-/// every row block of the stacked product is bitwise identical to the
-/// standalone per-block product (for warp-per-row kernels).
-template <typename V, typename I>
-CsrMatrix<V, I> vstack_rows(std::span<const CsrMatrix<V, I>> blocks) {
+/// of each other, converting each value to VOut on the way (as
+/// convert_values does, so a narrower stack needs no wide intermediate).
+/// RobustPlanOptimizer uses this to fuse its K scenario matrices into one
+/// engine whose single traversal yields every scenario dose; because each
+/// row's result depends only on that row's entries and x, every row block of
+/// the stacked product is bitwise identical to the standalone per-block
+/// product (for warp-per-row kernels).
+template <typename VOut, typename V, typename I>
+CsrMatrix<VOut, I> vstack_rows_as(std::span<const CsrMatrix<V, I>> blocks) {
   PD_CHECK_MSG(!blocks.empty(), "vstack_rows: need at least one block");
-  CsrMatrix<V, I> out;
+  CsrMatrix<VOut, I> out;
   out.num_cols = blocks.front().num_cols;
   std::uint64_t total_rows = 0;
   std::uint64_t total_nnz = 0;
@@ -132,9 +134,16 @@ CsrMatrix<V, I> vstack_rows(std::span<const CsrMatrix<V, I>> blocks) {
       out.row_ptr.push_back(base + b.row_ptr[r]);
     }
     out.col_idx.insert(out.col_idx.end(), b.col_idx.begin(), b.col_idx.end());
-    out.values.insert(out.values.end(), b.values.begin(), b.values.end());
+    for (const V& v : b.values) {
+      out.values.push_back(static_cast<VOut>(static_cast<double>(v)));
+    }
   }
   return out;
+}
+
+template <typename V, typename I>
+CsrMatrix<V, I> vstack_rows(std::span<const CsrMatrix<V, I>> blocks) {
+  return vstack_rows_as<V>(blocks);
 }
 
 /// Largest part nnz relative to the ideal nnz/parts (1.0 == perfect).

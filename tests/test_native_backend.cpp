@@ -23,6 +23,8 @@
 #include "gpusim/launch.hpp"
 #include "kernels/dose_engine.hpp"
 #include "kernels/multivector_csr.hpp"
+#include "kernels/vector_csr.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/random.hpp"
 
@@ -188,6 +190,57 @@ TEST(NativeBackend, CountersRequireGpusimRunAndBackendSwitchIsBitwise) {
 
   engine.set_backend(Backend::kNative);
   expect_bitwise_equal(gpusim_dose, engine.compute(p.x));
+}
+
+/// The simulated L2 (~32 MiB of line arrays for the A100's 40 MiB) is
+/// allocated by the first launch that models traffic.  Native and
+/// functional-only computes never allocate it, and a launch on a cache that
+/// was allocated late counts exactly what it counts on a fresh device.
+TEST(NativeBackend, NativeOnlyEngineNeverAllocatesTheSimulatedL2) {
+  const Problem p = make_problem(4);
+  DoseEngine engine = make_engine(p, SpmvFamily::kVector, Mode::kHalfDouble,
+                                  Backend::kNative, 2);
+  const std::vector<double> native_dose = engine.compute(p.x);
+  engine.compute_batch(std::vector<double>(3 * p.x.size(), 0.5), 3);
+  EXPECT_EQ(engine.sim_cache_bytes(), 0u);
+
+  engine.set_backend(Backend::kGpusim);
+  engine.set_engine_options({gpusim::TraceMode::kFunctionalOnly, 0});
+  expect_bitwise_equal(engine.compute(p.x), native_dose);
+  EXPECT_EQ(engine.sim_cache_bytes(), 0u);
+
+  engine.set_engine_options({gpusim::TraceMode::kSerial, 0});
+  expect_bitwise_equal(engine.compute(p.x), native_dose);
+  EXPECT_GT(engine.sim_cache_bytes(), 0u);
+  EXPECT_GT(engine.last_run().stats.traffic.dram_read_bytes, 0u);
+
+  // Counters depend on operand addresses, so compare devices on the same
+  // buffers: one that ran functional-only launches and cold starts before
+  // its first counting launch, and a fresh one.
+  const auto half = sparse::convert_values<pd::Half>(p.matrix);
+  std::vector<double> y(half.num_rows);
+  const std::span<const double> x(p.x);
+  gpusim::Gpu fresh(gpusim::make_a100());
+  const SpmvRun expected =
+      run_vector_csr<pd::Half, double>(fresh, half, x, std::span<double>(y));
+  gpusim::Gpu late(gpusim::make_a100());
+  late.set_engine({gpusim::TraceMode::kFunctionalOnly, 0});
+  run_vector_csr<pd::Half, double>(late, half, x, std::span<double>(y));
+  late.invalidate_cache();
+  EXPECT_EQ(late.cache_resident_bytes(), 0u);
+  late.set_engine({gpusim::TraceMode::kSerial, 0});
+  const SpmvRun actual =
+      run_vector_csr<pd::Half, double>(late, half, x, std::span<double>(y));
+  EXPECT_GT(late.cache_resident_bytes(), 0u);
+  const gpusim::TrafficCounters& a = actual.stats.traffic;
+  const gpusim::TrafficCounters& e = expected.stats.traffic;
+  EXPECT_EQ(a.dram_read_bytes, e.dram_read_bytes);
+  EXPECT_EQ(a.dram_write_bytes, e.dram_write_bytes);
+  EXPECT_EQ(a.l2_read_sectors, e.l2_read_sectors);
+  EXPECT_EQ(a.l2_write_sectors, e.l2_write_sectors);
+  EXPECT_EQ(a.l2_read_hits, e.l2_read_hits);
+  EXPECT_EQ(a.l2_write_hits, e.l2_write_hits);
+  EXPECT_EQ(a.sectors_requested, e.sectors_requested);
 }
 
 }  // namespace
