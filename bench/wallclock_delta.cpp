@@ -135,9 +135,12 @@ int main() {
                                  DoseEngine::DeltaMode::kBitwise);
                            }) *
                            1e6;
-      r.changed_cols = engine.last_delta().changed_cols;
-      r.delta_nnz = engine.last_delta().delta_nnz;
-      r.touched_rows = engine.last_delta().touched_rows;
+      std::vector<double> probe = base;
+      const DoseEngine::DeltaRun run = engine.apply_delta(
+          probe, w, w_new, DoseEngine::DeltaMode::kBitwise);
+      r.changed_cols = run.changed_cols;
+      r.delta_nnz = run.delta_nnz;
+      r.touched_rows = run.touched_rows;
       r.us_delta_fast = time_per_call([&] {
                           engine.compute_delta(base, w, w_new,
                                                DoseEngine::DeltaMode::kFast);

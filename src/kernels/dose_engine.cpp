@@ -137,16 +137,22 @@ const gpusim::CheckReport& DoseEngine::check_report() const {
   return gpu_->check_report();
 }
 
-sparse::CsrF64 DoseEngine::stored_matrix_as_double() const {
+template <typename F>
+decltype(auto) DoseEngine::with_stored(F&& f) const {
   switch (mode_) {
     case Mode::kHalfDouble:
-      return sparse::convert_values<double>(half_matrix_);
+      return f(half_matrix_);
     case Mode::kSingle:
-      return sparse::convert_values<double>(single_matrix_);
+      return f(single_matrix_);
     case Mode::kDouble:
       break;
   }
-  return double_matrix_;
+  return f(double_matrix_);
+}
+
+sparse::CsrF64 DoseEngine::stored_matrix_as_double() const {
+  return with_stored(
+      [](const auto& m) { return sparse::convert_values<double>(m); });
 }
 
 void DoseEngine::ensure_fast_storage(FastFormat format) {
@@ -278,8 +284,8 @@ void DoseEngine::ensure_delta_context() {
   if (delta_) {
     return;
   }
+  transpose_ = std::make_unique<DoseEngine>(transposed(0, num_voxels()));
   auto ctx = std::make_unique<DeltaContext>();
-  ctx->csc = build_csc_sidecar(stored_matrix_as_double());
   switch (family_) {
     case Family::kAdaptive: {
       // Items partition the row space in order; invert to row → item.
@@ -321,9 +327,9 @@ void DoseEngine::ensure_delta_context() {
   delta_ = std::move(ctx);
 }
 
-const CscSidecar& DoseEngine::csc_sidecar() {
+DoseEngine& DoseEngine::csc_sidecar() {
   ensure_delta_context();
-  return delta_->csc;
+  return *transpose_;
 }
 
 template <typename MatV, typename Acc>
@@ -331,9 +337,6 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
                                       std::span<const Acc> x,
                                       std::span<const std::uint32_t> rows,
                                       std::span<double> dose) {
-  if (rows.empty()) {
-    return;
-  }
   const std::uint32_t* row_ptr = A.row_ptr.data();
   const MatV* values = A.values.data();
   const auto* col_idx = A.col_idx.data();
@@ -429,10 +432,9 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
   });
 }
 
-void DoseEngine::apply_delta(std::span<double> dose,
-                             std::span<const double> base_weights,
-                             std::span<const double> new_weights,
-                             DeltaMode mode) {
+DoseEngine::DeltaRun DoseEngine::apply_delta(
+    std::span<double> dose, std::span<const double> base_weights,
+    std::span<const double> new_weights, DeltaMode mode) {
   pd::threadcheck::note_compute("DoseEngine::apply_delta");
   PD_CHECK_MSG(dose.size() == stats_.rows,
                "DoseEngine::apply_delta: dose length mismatch");
@@ -442,22 +444,22 @@ void DoseEngine::apply_delta(std::span<double> dose,
                "DoseEngine::apply_delta: new weight count mismatch");
   ensure_delta_context();
   const WeightDelta delta = diff_weights(base_weights, new_weights);
-  last_delta_ = DeltaRun{};
-  last_delta_.mode = mode;
-  last_delta_.changed_cols = delta.cols.size();
-  last_delta_.delta_nnz = csc_delta_nnz(delta_->csc, delta.cols);
-  if (delta.cols.empty()) {
-    return;
+  DeltaRun run{mode, delta.cols.size()};
+  std::vector<std::uint32_t> rows;
+  transpose_->with_stored([&](const auto& t) {
+    run.delta_nnz = csc_delta_nnz(t, delta.cols);
+    // touched_rows stays 0 in fast mode: the axpy never builds a row
+    // worklist (that pass would cost as much as the update itself).
+    if (mode == DeltaMode::kFast) {
+      csc_delta_axpy(t, delta.cols, delta.dw, dose);
+    } else {
+      rows = csc_affected_rows(t, delta.cols, delta_->row_mark);
+    }
+  });
+  run.touched_rows = rows.size();
+  if (rows.empty()) {
+    return run;
   }
-  if (mode == DeltaMode::kFast) {
-    // touched_rows stays 0: the axpy never builds a row worklist (that pass
-    // would cost as much as the update itself).
-    csc_delta_axpy(delta_->csc, delta.cols, delta.dw, dose);
-    return;
-  }
-  const std::vector<std::uint32_t> rows =
-      csc_affected_rows(delta_->csc, delta.cols, delta_->row_mark);
-  last_delta_.touched_rows = rows.size();
   switch (mode_) {
     case Mode::kHalfDouble:
       delta_recompute_rows<pd::Half, double>(half_matrix_, new_weights, rows,
@@ -479,6 +481,7 @@ void DoseEngine::apply_delta(std::span<double> dose,
                                            dose);
       break;
   }
+  return run;
 }
 
 std::vector<double> DoseEngine::compute_delta(

@@ -83,7 +83,7 @@ class DoseEngine {
     kFast,     ///< scatter-add D[:,j]·Δw_j; verified by a derived bound.
   };
 
-  /// What the most recent delta update actually touched.
+  /// What one delta update actually touched (apply_delta's result).
   struct DeltaRun {
     DeltaMode mode = DeltaMode::kBitwise;
     std::uint64_t changed_cols = 0;  ///< bitwise-changed weight entries.
@@ -124,7 +124,6 @@ class DoseEngine {
   /// engine options; the transpose runs on this engine's native threads.
   /// The new engine starts in the bitwise tier with no fast or delta state.
   DoseEngine transposed(std::uint64_t row_begin, std::uint64_t row_end);
-  DoseEngine transposed() { return transposed(0, num_voxels()); }
 
   DoseEngine(const DoseEngine&) = delete;
   DoseEngine& operator=(const DoseEngine&) = delete;
@@ -224,10 +223,11 @@ class DoseEngine {
   ///    cost ∝ nnz of the changed columns, verified by a derived per-row
   ///    bound (tests/test_delta_engine.cpp).
   ///
-  /// Builds the CSC sidecar on first use (cached for the engine's lifetime).
-  void apply_delta(std::span<double> dose, std::span<const double> base_weights,
-                   std::span<const double> new_weights,
-                   DeltaMode mode = DeltaMode::kBitwise);
+  /// Builds csc_sidecar() on first use.  Returns what the update touched.
+  DeltaRun apply_delta(std::span<double> dose,
+                       std::span<const double> base_weights,
+                       std::span<const double> new_weights,
+                       DeltaMode mode = DeltaMode::kBitwise);
 
   /// Copying form: returns the new dose, `base_dose` untouched.
   std::vector<double> compute_delta(std::span<const double> base_dose,
@@ -235,11 +235,11 @@ class DoseEngine {
                                     std::span<const double> new_weights,
                                     DeltaMode mode = DeltaMode::kBitwise);
 
-  /// The column-major sidecar (built lazily on first access).
-  const CscSidecar& csc_sidecar();
-
-  /// Touch counts of the most recent apply_delta / compute_delta.
-  const DeltaRun& last_delta() const { return last_delta_; }
+  /// The engine of Dᵀ — transposed(0, num_voxels()), built on first access
+  /// and kept for the engine's lifetime.  Its CSR is the CSC of D in the
+  /// stored precision: delta updates walk its arrays, and gradient products
+  /// are its compute().
+  DoseEngine& csc_sidecar();
 
   /// Select how the simulated GPU executes launches (serial, trace-replay,
   /// or functional-only — see gpusim/trace.hpp).  Dose values are identical
@@ -290,6 +290,9 @@ class DoseEngine {
   void ensure_fast_storage(FastFormat format);
   void compute_fast(std::span<const double> x, std::span<double> y);
   void ensure_delta_context();
+  /// f(stored matrix) for the selected mode's storage.
+  template <typename F>
+  decltype(auto) with_stored(F&& f) const;
   template <typename MatV, typename Acc>
   void delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
                             std::span<const Acc> x,
@@ -316,10 +319,10 @@ class DoseEngine {
   std::unique_ptr<sparse::SellCsQMatrix> sellq_matrix_;
   RowSplitPlan rowsplit_plan_;               ///< kRowSplit analysis.
   std::vector<AdaptiveWorkItem> adaptive_worklist_;  ///< kAdaptive analysis.
-  /// CSC sidecar + row→work-item maps + scratch for the delta path, built
-  /// lazily on the first apply_delta / csc_sidecar() and cached.
+  /// Dᵀ (csc_sidecar()) and the delta path's row→work-item maps and
+  /// scratch, built lazily on the first apply_delta / csc_sidecar().
+  std::unique_ptr<DoseEngine> transpose_;
   std::unique_ptr<DeltaContext> delta_;
-  DeltaRun last_delta_;
   std::unique_ptr<gpusim::Gpu> gpu_;
   NativeExecutor native_;
   /// Fast-tier executor, used instead of native_ once set_fast_threads ran

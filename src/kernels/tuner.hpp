@@ -117,11 +117,12 @@ inline FastFormatChoice choose_fast_format(std::uint64_t rsformat_bytes,
 
 /// Delta-vs-full breakeven (docs/delta_engine.md).  A bitwise delta update
 /// streams roughly the affected fraction of the matrix; the fast delta
-/// streams only the changed columns' sidecar entries — 8 B value + 4 B row
-/// index + a 16 B dose read-modify-write per nnz, ~28 B.  Both are DRAM-bound
-/// like every product here, so the tuner compares streamed bytes: delta wins
-/// while changed_frac · cols · (nnz/cols) · 28 B < full CSR bytes.  Ties go
-/// to the full recompute (one pass, no worklist bookkeeping).
+/// streams only the changed columns' sidecar entries — ≤8 B value + 4 B row
+/// index + a 16 B dose read-modify-write per nnz: 28 B is an upper bound (22 B
+/// for half storage).  Both are DRAM-bound like every product here, so the
+/// tuner compares streamed bytes: delta wins while changed_frac · cols ·
+/// (nnz/cols) · 28 B < full CSR bytes.  Ties go to the full recompute (one
+/// pass, no worklist bookkeeping).
 struct DeltaThreshold {
   double breakeven_changed_frac = 1.0;  ///< delta wins strictly below this.
   std::uint64_t full_bytes = 0;         ///< CSR bytes one full product streams.

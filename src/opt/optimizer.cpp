@@ -90,8 +90,8 @@ PlanOptimizer::PlanOptimizer(const sparse::CsrF64& D, DoseObjective objective,
                              gpusim::DeviceSpec device, OptimizerConfig config)
     : objective_(std::move(objective)),
       config_(config),
-      forward_(make_forward_engine(D, std::move(device), config)),
-      transpose_(forward_.transposed()) {
+      forward_(make_forward_engine(D, std::move(device), config)) {
+  forward_.csc_sidecar();  // Dᵀ: built here so setup_seconds covers it
   setup_seconds_ = setup_timer_.seconds();
   PD_CHECK_MSG(config_.max_iterations > 0, "optimizer: need >= 1 iteration");
   PD_CHECK_MSG(config_.lbfgs_history > 0, "optimizer: need >= 1 history pair");
@@ -111,7 +111,7 @@ OptimizerResult PlanOptimizer::optimize() {
   auto spot_gradient = [&](const std::vector<double>& d) {
     const std::vector<double> gdose = objective_.dose_gradient(d);
     ++result.spmv_count;
-    return transpose_.compute(gdose);
+    return forward_.csc_sidecar().compute(gdose);
   };
   std::vector<double> gx = spot_gradient(dose);
 

@@ -91,7 +91,8 @@ struct OptimizerResult {
 class PlanOptimizer {
  public:
   /// D is the dose deposition matrix (rows = voxels, cols = spots); the
-  /// optimizer builds forward and transposed engines on `device`.
+  /// optimizer builds the forward engine on `device` and, eagerly, its Dᵀ
+  /// (DoseEngine::csc_sidecar), which serves gradients and delta updates.
   PlanOptimizer(const sparse::CsrF64& D, DoseObjective objective,
                 gpusim::DeviceSpec device, OptimizerConfig config = {});
 
@@ -103,7 +104,6 @@ class PlanOptimizer {
   WallTimer setup_timer_;  ///< Declared before the engines to time their
                            ///< construction (members initialize in order).
   kernels::DoseEngine forward_;
-  kernels::DoseEngine transpose_;  ///< forward_.transposed(), built second.
   double setup_seconds_ = 0.0;
 };
 

@@ -81,7 +81,8 @@ kernels::DoseEngine& RobustPlanOptimizer::transpose_engine(std::size_t k) {
         forward_stacked_
             ? forward_stacked_->transposed(k * rows_per_scenario_,
                                            (k + 1) * rows_per_scenario_)
-            : forward_split_[k]->transposed());
+            : forward_split_[k]->transposed(
+                  0, forward_split_[k]->num_voxels()));
     setup_seconds_ += timer.seconds();
   }
   return *transpose_[k];

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -43,6 +46,20 @@ std::uint32_t delta_exec_key_for(std::uint32_t base_key,
   const std::uint32_t fast_bit =
       mode == kernels::DoseEngine::DeltaMode::kFast ? 0x40000000u : 0u;
   return 0x80000000u | fast_bit | (base_key & 0x3FFFFFFFu);
+}
+
+// The fast tiers' error bounds assume finite inputs, so every tier rejects
+// NaN and ±Inf at submit (docs/service.md).  Names the first bad index, or
+// returns an empty string when every weight is finite.
+std::string non_finite_weight_error(const char* what,
+                                    std::span<const double> weights) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (!std::isfinite(weights[i])) {
+      return std::string("non-finite ") + what + " " +
+             std::to_string(weights[i]) + " at index " + std::to_string(i);
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -143,6 +160,7 @@ Ticket DoseService::submit(const std::string& plan,
 
   const auto submitted = std::chrono::steady_clock::now();
   const bool known_plan = cache_.has_plan(plan);
+  const std::string bad_weight = non_finite_weight_error("weight", weights);
 
   std::unique_lock<pd::Mutex> lock(mu_);
   ticket.id = next_id_++;
@@ -153,6 +171,11 @@ Ticket DoseService::submit(const std::string& plan,
   if (!accepting_) {
     immediate.status = RequestStatus::kFailed;
     immediate.error = "service is shutting down";
+    ++failed_;
+    resolve_now = true;
+  } else if (!bad_weight.empty()) {
+    immediate.status = RequestStatus::kFailed;
+    immediate.error = "submit: " + bad_weight;
     ++failed_;
     resolve_now = true;
   } else if (!known_plan) {
@@ -209,6 +232,10 @@ Ticket DoseService::submit_delta(const std::string& plan,
 
   const auto submitted = std::chrono::steady_clock::now();
   const bool known_plan = cache_.has_plan(plan);
+  std::string bad_weight = non_finite_weight_error("weight", new_weights);
+  if (bad_weight.empty() && base != nullptr) {
+    bad_weight = non_finite_weight_error("base weight", base->weights);
+  }
 
   std::unique_lock<pd::Mutex> lock(mu_);
   ticket.id = next_id_++;
@@ -224,6 +251,11 @@ Ticket DoseService::submit_delta(const std::string& plan,
   } else if (base == nullptr) {
     immediate.status = RequestStatus::kFailed;
     immediate.error = "submit_delta: null base";
+    ++failed_;
+    resolve_now = true;
+  } else if (!bad_weight.empty()) {
+    immediate.status = RequestStatus::kFailed;
+    immediate.error = "submit_delta: " + bad_weight;
     ++failed_;
     resolve_now = true;
   } else if (!known_plan) {

@@ -153,8 +153,9 @@ class DoseService {
 
   /// Enqueue one dose request.  Never blocks on compute: over-bound queues
   /// reject immediately (status kRejected + retry_after_ms), unknown plans
-  /// fail immediately.  Weight-length validation happens at launch (it needs
-  /// the engine) and resolves kFailed without disturbing batch-mates.
+  /// fail immediately, and so does any NaN or ±Inf weight, for every tier.
+  /// Weight-length validation happens at launch (it needs the engine) and
+  /// resolves kFailed without disturbing batch-mates.
   Ticket submit(const std::string& plan, std::vector<double> weights,
                 const SubmitOptions& options = {});
 
@@ -164,8 +165,9 @@ class DoseService {
   /// base key coalesce into one launch (a dedicated BatchQueue exec key per
   /// (key, mode), so delta launches never mix with full computes);
   /// deadlines, cancel, backpressure, and drain behave exactly as submit.
-  /// A null `base` fails immediately; base/weight length mismatches resolve
-  /// kFailed at launch without disturbing batch-mates.
+  /// A null `base` or a non-finite new or base weight fails immediately;
+  /// base/weight length mismatches resolve kFailed at launch without
+  /// disturbing batch-mates.
   Ticket submit_delta(const std::string& plan,
                       std::shared_ptr<const DeltaBase> base,
                       std::vector<double> new_weights,

@@ -8,9 +8,11 @@
 //  (b) DeltaMode::kFast — the scatter-add update stays inside a *derived*
 //      per-row bound (test_fast_tier.cpp style), and the bound is tight
 //      enough to reject a deliberately miscompiled reference.
-// Plus the structural pieces: the CSC sidecar is exactly the transpose,
-// last_delta() reports the true touch counts, and the tuner's delta
-// threshold does its streamed-bytes arithmetic (tie goes to full recompute).
+// Plus the structural pieces: the CSC sidecar (the engine's stored Dᵀ) is
+// exactly the transpose, the fast mode is bit-pinned to the plain ascending
+// scatter-add, both axpy variants agree bitwise, apply_delta reports the
+// true touch counts, and the tuner's delta threshold does its streamed-bytes
+// arithmetic (tie goes to full recompute).
 //
 // Suite names start with Delta so CI can run `ctest -R Delta` under the
 // sanitizers.
@@ -122,7 +124,11 @@ void check_bitwise_delta(DoseEngine& engine, const std::string& label,
     expect_bitwise(delta, full,
                    (label + " t" + std::to_string(threads)).c_str());
   }
-  EXPECT_GT(engine.last_delta().changed_cols, 0u);
+  std::vector<double> applied = base;
+  EXPECT_GT(engine.apply_delta(applied, w, w_new, DeltaMode::kBitwise)
+                .changed_cols,
+            0u);
+  expect_bitwise(applied, full, (label + " apply").c_str());
 }
 
 // --- (a) the bitwise contract -----------------------------------------------
@@ -204,16 +210,20 @@ TEST(DeltaCases, EdgeCases) {
   const std::vector<double> same =
       engine.compute_delta(base, w, w, DeltaMode::kBitwise);
   expect_bitwise(same, base, "no-op delta");
-  EXPECT_EQ(engine.last_delta().changed_cols, 0u);
-  EXPECT_EQ(engine.last_delta().delta_nnz, 0u);
-  EXPECT_EQ(engine.last_delta().touched_rows, 0u);
+  std::vector<double> dose = base;
+  const DoseEngine::DeltaRun noop =
+      engine.apply_delta(dose, w, w, DeltaMode::kBitwise);
+  EXPECT_EQ(noop.changed_cols, 0u);
+  EXPECT_EQ(noop.delta_nnz, 0u);
+  EXPECT_EQ(noop.touched_rows, 0u);
 
   // A sign flip on zero is invisible to operator== but not to the bitwise
   // contract — diff_weights compares bits, so it must be treated as changed.
   std::vector<double> w_negzero = w;
   w_negzero[0] = -0.0;
-  (void)engine.compute_delta(base, w, w_negzero, DeltaMode::kBitwise);
-  EXPECT_EQ(engine.last_delta().changed_cols, 1u);
+  EXPECT_EQ(engine.apply_delta(dose, w, w_negzero, DeltaMode::kBitwise)
+                .changed_cols,
+            1u);
 
   // Every column changed: the worklist degenerates to a full recompute and
   // must still match bit for bit.
@@ -229,22 +239,32 @@ TEST(DeltaCases, EdgeCases) {
 
 TEST(DeltaSidecar, MatchesTheTransposeExactly) {
   const auto& ds = beams().front();
-  // Mode::kDouble stores the matrix unconverted, so the sidecar must equal
-  // the transpose of the input with no precision caveats.
-  DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), Mode::kDouble,
-                    kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
-  const CscSidecar& csc = engine.csc_sidecar();
-  const sparse::CsrF64 t = sparse::transpose(ds.beam.matrix);
-  ASSERT_EQ(csc.num_cols, t.num_rows);
-  ASSERT_EQ(csc.nnz(), t.nnz());
-  for (std::uint64_t c = 0; c <= csc.num_cols; ++c) {
-    ASSERT_EQ(csc.col_ptr[c], t.row_ptr[c]) << "col " << c;
-  }
-  for (std::uint64_t k = 0; k < csc.nnz(); ++k) {
-    ASSERT_EQ(csc.row_idx[k], t.col_idx[k]) << "entry " << k;
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(csc.values[k]),
-              std::bit_cast<std::uint64_t>(t.values[k]))
-        << "entry " << k;
+  // The sidecar is the engine of Dᵀ in the stored precision: its arrays must
+  // be the transpose of the stored matrix, entry for entry.  Widening to
+  // double is exact and injective, so comparing widened value bits compares
+  // the stored half / float bits.  Mode::kDouble stores the matrix
+  // unconverted, so there it must also equal the transpose of the input.
+  for (const Mode mode : {Mode::kHalfDouble, Mode::kSingle, Mode::kDouble}) {
+    DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), mode,
+                      kDefaultVectorTpb, SpmvFamily::kVector,
+                      Backend::kNative);
+    const sparse::CsrF64 csc = engine.csc_sidecar().stored_matrix_as_double();
+    const sparse::CsrF64 t = sparse::transpose(
+        mode == Mode::kDouble ? ds.beam.matrix
+                              : engine.stored_matrix_as_double());
+    const int m = static_cast<int>(mode);
+    ASSERT_EQ(csc.num_rows, t.num_rows) << "mode " << m;
+    ASSERT_EQ(csc.num_cols, t.num_cols) << "mode " << m;
+    ASSERT_EQ(csc.nnz(), t.nnz()) << "mode " << m;
+    for (std::uint64_t c = 0; c <= csc.num_rows; ++c) {
+      ASSERT_EQ(csc.row_ptr[c], t.row_ptr[c]) << "mode " << m << " col " << c;
+    }
+    for (std::uint64_t k = 0; k < csc.nnz(); ++k) {
+      ASSERT_EQ(csc.col_idx[k], t.col_idx[k]) << "mode " << m << " entry " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(csc.values[k]),
+                std::bit_cast<std::uint64_t>(t.values[k]))
+          << "mode " << m << " entry " << k;
+    }
   }
 }
 
@@ -258,18 +278,19 @@ TEST(DeltaSidecar, LastDeltaReportsTrueTouchCounts) {
   w_new[c0] += 0.5;
   w_new[c1] += 0.5;
   const std::vector<double> base = engine.compute(w);
-  (void)engine.compute_delta(base, w, w_new, DeltaMode::kBitwise);
+  std::vector<double> dose = base;
+  const DoseEngine::DeltaRun run =
+      engine.apply_delta(dose, w, w_new, DeltaMode::kBitwise);
 
-  const CscSidecar& csc = engine.csc_sidecar();
-  const DoseEngine::DeltaRun& run = engine.last_delta();
+  const sparse::CsrF64 csc = engine.csc_sidecar().stored_matrix_as_double();
   EXPECT_EQ(run.mode, DeltaMode::kBitwise);
   EXPECT_EQ(run.changed_cols, 2u);
-  EXPECT_EQ(run.delta_nnz, csc.col_nnz(c0) + csc.col_nnz(c1));
+  EXPECT_EQ(run.delta_nnz, csc.row_nnz(c0) + csc.row_nnz(c1));
   // touched_rows = |union of the two columns' row sets|.
   std::vector<std::uint32_t> rows;
   for (const std::uint32_t c : {c0, c1}) {
-    for (std::uint32_t k = csc.col_ptr[c]; k < csc.col_ptr[c + 1]; ++k) {
-      rows.push_back(csc.row_idx[k]);
+    for (std::uint32_t k = csc.row_ptr[c]; k < csc.row_ptr[c + 1]; ++k) {
+      rows.push_back(csc.col_idx[k]);
     }
   }
   std::sort(rows.begin(), rows.end());
@@ -278,11 +299,105 @@ TEST(DeltaSidecar, LastDeltaReportsTrueTouchCounts) {
   // delta cost ∝ |Δw| nnz: two columns touch a tiny fraction of the matrix.
   EXPECT_LT(run.delta_nnz, engine.stats().nnz / 4);
 
-  (void)engine.compute_delta(base, w, w_new, DeltaMode::kFast);
-  EXPECT_EQ(engine.last_delta().mode, DeltaMode::kFast);
-  EXPECT_EQ(engine.last_delta().delta_nnz, run.delta_nnz);
-  EXPECT_EQ(engine.last_delta().touched_rows, 0u);  // fast builds no worklist
+  dose = base;
+  const DoseEngine::DeltaRun fast =
+      engine.apply_delta(dose, w, w_new, DeltaMode::kFast);
+  EXPECT_EQ(fast.mode, DeltaMode::kFast);
+  EXPECT_EQ(fast.delta_nnz, run.delta_nnz);
+  EXPECT_EQ(fast.touched_rows, 0u);  // fast builds no worklist
 }
+
+TEST(DeltaSidecar, FastModeEqualsTheAscendingScatterAdd) {
+  // Bit-pin of the fast mode: dose += v·Δw in ascending column order,
+  // ascending rows within a column, over the transpose of the widened stored
+  // matrix — the recipe of a double-valued CSC.  Reading the stored values
+  // and widening them on load must not move a single bit.
+  for (const auto& ds : beams()) {
+    for (const Mode mode : {Mode::kHalfDouble, Mode::kSingle, Mode::kDouble}) {
+      DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), mode,
+                        kDefaultVectorTpb, SpmvFamily::kVector,
+                        Backend::kNative);
+      const sparse::CsrF64 csc =
+          sparse::transpose(engine.stored_matrix_as_double());
+      const std::vector<double> w = base_weights_for(engine.num_spots(), 41);
+      const std::vector<double> base = engine.compute(w);
+      for (const double frac : {0.001, 0.01, 0.1}) {
+        const std::vector<double> w_new = perturb(w, frac, 73);
+        std::vector<double> oracle = base;
+        for (std::uint64_t c = 0; c < csc.num_rows; ++c) {
+          if (std::bit_cast<std::uint64_t>(w[c]) ==
+              std::bit_cast<std::uint64_t>(w_new[c])) {
+            continue;
+          }
+          const double dw = w_new[c] - w[c];
+          for (std::uint32_t k = csc.row_ptr[c]; k < csc.row_ptr[c + 1]; ++k) {
+            oracle[csc.col_idx[k]] += csc.values[k] * dw;
+          }
+        }
+        const std::vector<double> fast =
+            engine.compute_delta(base, w, w_new, DeltaMode::kFast);
+        ASSERT_EQ(fast.size(), oracle.size());
+        for (std::size_t r = 0; r < fast.size(); ++r) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(fast[r]),
+                    std::bit_cast<std::uint64_t>(oracle[r]))
+              << ds.label << " mode " << static_cast<int>(mode) << " frac "
+              << frac << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+#if defined(PD_NATIVE_F16C_DISPATCH)
+/// One column axpy through the AVX2 body and through the scalar body, on the
+/// same values, rows and Δw; the doses must agree bit for bit.
+template <typename V>
+void expect_axpy_variants_agree(const std::vector<V>& values,
+                                const char* what) {
+  const std::uint64_t n = values.size();
+  std::vector<std::uint32_t> rows(n);  // ascending with gaps, like a column
+  for (std::uint64_t k = 0; k < n; ++k) {
+    rows[k] = static_cast<std::uint32_t>(2 * k + k % 2);
+  }
+  const std::vector<double> start = base_weights_for(2 * n + 2, 53);
+  for (const double dw : {0.3, -1.75, 1e-300, 3.0e5}) {
+    std::vector<double> scalar = start;
+    std::vector<double> avx2 = start;
+    csc_col_axpy_scalar(values.data(), rows.data(), n, dw, scalar.data());
+    csc_col_axpy_avx2(values.data(), rows.data(), n, dw, avx2.data());
+    expect_bitwise(avx2, scalar,
+                   (std::string(what) + " n=" + std::to_string(n)).c_str());
+  }
+}
+
+TEST(DeltaAxpy, Avx2AndScalarAgreeBitwiseForEveryStoredType) {
+  if (!delta_axpy_has_avx2()) {
+    GTEST_SKIP() << "host has no AVX2/F16C";
+  }
+  Rng rng(91);
+  for (const std::uint64_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 1023u}) {
+    std::vector<pd::Half> halves(n);
+    std::vector<float> floats(n);
+    std::vector<double> doubles(n);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      // Every third half is subnormal (bits 0x0001..0x03ff), some negative.
+      const std::uint16_t bits =
+          k % 3 == 0
+              ? static_cast<std::uint16_t>(1 + rng.uniform_index(0x03ff))
+              : static_cast<std::uint16_t>(0x0400 +
+                                           rng.uniform_index(0x7800));
+      halves[k] = pd::Half::from_bits(
+          static_cast<std::uint16_t>(bits | (k % 5 == 0 ? 0x8000u : 0u)));
+      floats[k] = static_cast<float>(rng.uniform(-2.0, 2.0)) *
+                  (k % 4 == 0 ? 1e-40f : 1.0f);  // float subnormals too
+      doubles[k] = rng.uniform(-2.0, 2.0);
+    }
+    expect_axpy_variants_agree(halves, "half");
+    expect_axpy_variants_agree(floats, "float");
+    expect_axpy_variants_agree(doubles, "double");
+  }
+}
+#endif
 
 // --- (b) the fast mode's derived bound --------------------------------------
 

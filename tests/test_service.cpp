@@ -9,7 +9,9 @@
 //
 // ServiceFaults: deterministic fault injection — deadline expiry mid-queue,
 // cancellation after submit, cache eviction racing an in-flight batch,
-// queue-overflow backpressure, unknown plans, and malformed weight vectors.
+// queue-overflow backpressure, unknown plans, malformed weight vectors, and
+// non-finite weights (rejected at submit for every tier, also through a
+// ShardedDoseService).
 // Every fault resolves with a documented status; no fault ever yields a
 // wrong dose or a deadlock, including under ASan/UBSan
 // (-DPROTONDOSE_SANITIZE=ON, exercised by the CI sanitize job).
@@ -19,9 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +37,7 @@
 #include "gpusim/device.hpp"
 #include "kernels/dose_engine.hpp"
 #include "service/dose_service.hpp"
+#include "service/sharded_service.hpp"
 #include "sparse/random.hpp"
 
 namespace pd::service {
@@ -481,6 +486,115 @@ TEST(ServiceFaults, BadWeightLengthFailsAloneBatchmatesSucceed) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 2u);
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+/// A rejected non-finite request: immediate kFailed whose error names the
+/// first bad index.
+void expect_non_finite_rejected(Ticket& ticket, std::size_t index,
+                                const std::string& what) {
+  EXPECT_FALSE(ticket.accepted) << what;
+  const DoseResult result = ticket.result.get();
+  EXPECT_EQ(result.status, RequestStatus::kFailed) << what;
+  EXPECT_NE(result.error.find("non-finite"), std::string::npos)
+      << what << ": " << result.error;
+  EXPECT_NE(result.error.find("index " + std::to_string(index)),
+            std::string::npos)
+      << what << ": " << result.error;
+}
+
+TEST(ServiceFaults, NonFiniteWeightsFailImmediatelyForEveryTier) {
+  // The fast tiers' derived bounds mean nothing once a weight is NaN or
+  // ±Inf, so submit and submit_delta refuse them for every tier — bitwise,
+  // fast and both delta modes — before anything is queued.
+  DoseService service(make_config(Backend::kNative, 1, 4));
+  register_plans(service, 1);
+  std::vector<kernels::DoseEngine> refs = make_references(Backend::kNative, 1);
+  const std::vector<double> good(kSpots, 1.0);
+  auto base = std::make_shared<DeltaBase>();
+  base->weights = good;
+  base->dose = refs[0].compute(good);
+
+  SubmitOptions fast;
+  fast.tier = kernels::DoseEngine::Tier::kFast;
+  DeltaOptions delta_fast;
+  delta_fast.mode = kernels::DoseEngine::DeltaMode::kFast;
+  std::uint64_t rejected = 0;
+  for (const double bad : kNonFinite) {
+    std::vector<double> w = good;
+    w[17] = bad;
+    w[40] = bad;  // only the first bad index is named
+    const std::string label = "value " + std::to_string(bad);
+    Ticket bitwise_t = service.submit(plan_name(0), w);
+    expect_non_finite_rejected(bitwise_t, 17, label + " bitwise");
+    Ticket fast_t = service.submit(plan_name(0), w, fast);
+    expect_non_finite_rejected(fast_t, 17, label + " fast");
+    Ticket delta_t = service.submit_delta(plan_name(0), base, w);
+    expect_non_finite_rejected(delta_t, 17, label + " delta");
+    Ticket delta_fast_t = service.submit_delta(plan_name(0), base, w,
+                                               delta_fast);
+    expect_non_finite_rejected(delta_fast_t, 17, label + " delta fast");
+    // A non-finite base weight is refused too: the update would carry it.
+    auto bad_base = std::make_shared<DeltaBase>(*base);
+    bad_base->weights[3] = bad;
+    Ticket bad_base_t = service.submit_delta(plan_name(0), bad_base, good);
+    expect_non_finite_rejected(bad_base_t, 3, label + " delta base");
+    rejected += 5;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, rejected);
+  EXPECT_EQ(stats.batches, 0u);  // nothing reached a launch
+}
+
+TEST(ServiceFaults, NegativeZeroAndSubnormalWeightsAreAccepted) {
+  // Finite is the whole rule: -0.0 and subnormals are ordinary weights, and
+  // the bitwise tier still matches a sequential compute bit for bit.
+  DoseService service(make_config(Backend::kNative, 1, 4));
+  register_plans(service, 1);
+  std::vector<kernels::DoseEngine> refs = make_references(Backend::kNative, 1);
+  std::vector<double> w(kSpots, 1.0);
+  w[0] = -0.0;
+  w[5] = std::numeric_limits<double>::denorm_min();
+  w[9] = -std::numeric_limits<double>::min() / 8.0;
+  ASSERT_EQ(std::fpclassify(w[9]), FP_SUBNORMAL);
+  Ticket full = service.submit(plan_name(0), w);
+  auto base = std::make_shared<DeltaBase>();
+  base->weights = std::vector<double>(kSpots, 1.0);
+  base->dose = refs[0].compute(base->weights);
+  Ticket delta = service.submit_delta(plan_name(0), base, w);
+  service.drain();
+  const std::vector<double> want = refs[0].compute(w);
+  for (Ticket* ticket : {&full, &delta}) {
+    EXPECT_TRUE(ticket->accepted);
+    DoseResult result = ticket->result.get();
+    ASSERT_EQ(result.status, RequestStatus::kOk) << result.error;
+    expect_bitwise_equal(result.dose, want);
+  }
+}
+
+TEST(ServiceFaults, ShardedServiceRejectsNonFiniteWeights) {
+  // The shard's refusal is plan-level (every shard would repeat it), so the
+  // router surfaces it without spilling — for routed and sliced plans alike.
+  ShardedServiceConfig config;
+  config.shards = 2;
+  config.replication = 2;
+  config.shard = make_config(Backend::kNative, 1, 4);
+  ShardedDoseService service(config);
+  service.register_plan("whole", [] { return plan_matrix(0); });
+  service.register_plan_sliced("sliced", [] { return plan_matrix(1); }, 2);
+  for (const double bad : kNonFinite) {
+    std::vector<double> w(kSpots, 1.0);
+    w[kSpots - 1] = bad;
+    const std::string label = "value " + std::to_string(bad);
+    Ticket routed = service.submit("whole", w);
+    expect_non_finite_rejected(routed, kSpots - 1, label + " routed");
+    Ticket sliced = service.submit("sliced", w);
+    expect_non_finite_rejected(sliced, kSpots - 1, label + " sliced");
+  }
+  EXPECT_EQ(service.stats().failed_immediate, 2 * std::size(kNonFinite));
 }
 
 TEST(ServiceFaults, DestructorDrainsOutstandingRequests) {

@@ -265,10 +265,10 @@ TEST(EngineTranspose, WholeMatrixTransposeRoundTrips) {
   DoseEngine forward(m, gpusim::make_a100(), Mode::kHalfDouble,
                      kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
   forward.set_native_threads(3);
-  DoseEngine t = forward.transposed();
+  DoseEngine t = forward.transposed(0, forward.num_voxels());
   EXPECT_EQ(t.num_voxels(), m.num_cols);
   EXPECT_EQ(t.num_spots(), m.num_rows);
-  DoseEngine tt = t.transposed();
+  DoseEngine tt = t.transposed(0, t.num_voxels());
   expect_same_arrays(tt.stored_matrix_as_double(),
                      forward.stored_matrix_as_double());
 }

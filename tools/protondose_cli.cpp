@@ -644,9 +644,9 @@ int cmd_delta(int argc, const char* const* argv) {
   const double s_fast = time_min(
       [&] { engine.compute_delta(base, w, w_new, Engine::DeltaMode::kFast); });
 
-  const std::vector<double> delta_dose =
-      engine.compute_delta(base, w, w_new, Engine::DeltaMode::kBitwise);
-  const Engine::DeltaRun run = engine.last_delta();
+  std::vector<double> delta_dose = base;
+  const Engine::DeltaRun run =
+      engine.apply_delta(delta_dose, w, w_new, Engine::DeltaMode::kBitwise);
   std::size_t mismatches = 0;
   for (std::size_t r = 0; r < full.size(); ++r) {
     mismatches += std::bit_cast<std::uint64_t>(delta_dose[r]) !=
