@@ -62,11 +62,13 @@ void ThreadPool::worker_loop() {
       seen_generation = generation_;
     }
     run_items();
-    {
-      std::lock_guard<pd::Mutex> lock(mutex_);
-      --pending_workers_;
+    // Only the last worker out notifies, and under the lock: parallel_for
+    // cannot observe pending_workers_ == 0 and return before the notify, so
+    // no notify outlives the batch that caused it.
+    std::lock_guard<pd::Mutex> lock(mutex_);
+    if (--pending_workers_ == 0) {
+      done_cv_.notify_one();
     }
-    done_cv_.notify_one();
   }
 }
 

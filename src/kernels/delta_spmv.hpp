@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -74,31 +75,60 @@ inline std::uint64_t csc_delta_nnz(const sparse::CsrMatrix<V>& t,
   return nnz;
 }
 
-/// Rows of D reachable from the changed columns, deduplicated and ascending.
-/// `mark` is caller-owned scratch of one byte per row of D, all-zero on entry
-/// and restored to all-zero before returning (only touched entries reset).
+/// Rows of D reachable from the changed columns, deduplicated and
+/// ascending, and their stored nnz.
+struct AffectedRows {
+  std::vector<std::uint32_t> rows;
+  std::uint64_t nnz = 0;
+};
+
+/// Walks the changed columns of the stored Dᵀ `t` to the rows they reach.
+/// `row_ptr` is D's.  Gives up, returning nullopt, once the touched rows'
+/// CSR slices — each row's nnz × `nnz_bytes` plus a 4 B row offset — reach
+/// `budget_bytes` (checked per column), so a change that reaches most of
+/// the matrix costs only the first part of the walk.  `mark` is
+/// caller-owned scratch of one byte per row of D, all-zero on entry and
+/// restored to all-zero before returning (only touched entries reset).
 template <typename V>
-inline std::vector<std::uint32_t> csc_affected_rows(
+inline std::optional<AffectedRows> csc_affected_rows(
     const sparse::CsrMatrix<V>& t, std::span<const std::uint32_t> cols,
-    std::vector<std::uint8_t>& mark) {
+    std::span<const std::uint32_t> row_ptr, std::uint64_t nnz_bytes,
+    std::uint64_t budget_bytes, std::vector<std::uint8_t>& mark) {
   if (mark.size() != t.num_cols) {
     mark.assign(t.num_cols, 0);
   }
-  std::vector<std::uint32_t> rows;
-  for (const std::uint32_t c : cols) {
-    for (std::uint32_t k = t.row_ptr[c]; k < t.row_ptr[c + 1]; ++k) {
-      const std::uint32_t r = t.col_idx[k];
-      if (mark[r] == 0) {
-        mark[r] = 1;
-        rows.push_back(r);
+  // Neighbouring spots reach overlapping rows, so the walk strides through
+  // the changed columns: a change that reaches most rows is seen to do so
+  // after a few of them.  The row set does not depend on the order.
+  constexpr std::size_t kStride = 16;
+  AffectedRows affected;
+  bool over_budget = false;
+  for (std::size_t first = 0; first < kStride && !over_budget; ++first) {
+    for (std::size_t i = first; i < cols.size(); i += kStride) {
+      const std::uint32_t c = cols[i];
+      for (std::uint32_t k = t.row_ptr[c]; k < t.row_ptr[c + 1]; ++k) {
+        const std::uint32_t r = t.col_idx[k];
+        if (mark[r] == 0) {
+          mark[r] = 1;
+          affected.rows.push_back(r);
+          affected.nnz += row_ptr[r + 1] - row_ptr[r];
+        }
+      }
+      over_budget = affected.nnz * nnz_bytes + affected.rows.size() * 4 >=
+                    budget_bytes;
+      if (over_budget) {
+        break;
       }
     }
   }
-  std::sort(rows.begin(), rows.end());
-  for (const std::uint32_t r : rows) {
+  for (const std::uint32_t r : affected.rows) {
     mark[r] = 0;
   }
-  return rows;
+  if (over_budget) {
+    return std::nullopt;
+  }
+  std::sort(affected.rows.begin(), affected.rows.end());
+  return affected;
 }
 
 #if defined(PD_NATIVE_F16C_DISPATCH)

@@ -445,18 +445,45 @@ DoseEngine::DeltaRun DoseEngine::apply_delta(
   ensure_delta_context();
   const WeightDelta delta = diff_weights(base_weights, new_weights);
   DeltaRun run{mode, delta.cols.size()};
-  std::vector<std::uint32_t> rows;
+  // The update streams the changed columns' row indices in Dᵀ (4 B per
+  // entry) and then the touched rows' CSR slices.  Once that reaches a full
+  // product's bytes (the tuner's csr_bytes model) it is no cheaper than the
+  // full compute, whose one-pass kernel also streams faster per byte than
+  // the row-by-row replay, so the walk stops at that budget and the full
+  // compute runs; by the delta contract its bits are the same
+  // (docs/delta_engine.md).
+  const std::span<const std::uint32_t> row_ptr = with_stored(
+      [](const auto& A) { return std::span<const std::uint32_t>(A.row_ptr); });
+  const std::uint64_t value_bytes =
+      with_stored([](const auto& A) { return sizeof(A.values[0]); });
+  const std::uint64_t full_bytes = stats_.csr_bytes(value_bytes, 4);
+  std::optional<AffectedRows> affected;
   transpose_->with_stored([&](const auto& t) {
     run.delta_nnz = csc_delta_nnz(t, delta.cols);
     // touched_rows stays 0 in fast mode: the axpy never builds a row
     // worklist (that pass would cost as much as the update itself).
     if (mode == DeltaMode::kFast) {
       csc_delta_axpy(t, delta.cols, delta.dw, dose);
-    } else {
-      rows = csc_affected_rows(t, delta.cols, delta_->row_mark);
+    } else if (4 * run.delta_nnz < full_bytes) {
+      affected = csc_affected_rows(t, delta.cols, row_ptr, value_bytes + 4,
+                                   full_bytes - 4 * run.delta_nnz,
+                                   delta_->row_mark);
     }
   });
+  if (mode == DeltaMode::kFast) {
+    return run;
+  }
+  if (!affected) {
+    run.full_compute = true;
+    run.touched_rows = stats_.rows;
+    run.touched_nnz = stats_.nnz;
+    std::fill(dose.begin(), dose.end(), 0.0);
+    compute_bitwise(new_weights, dose, 0, Backend::kNative);
+    return run;
+  }
+  const std::vector<std::uint32_t>& rows = affected->rows;
   run.touched_rows = rows.size();
+  run.touched_nnz = affected->nnz;
   if (rows.empty()) {
     return run;
   }
@@ -498,8 +525,8 @@ std::vector<double> DoseEngine::compute_delta(
 template <typename MatV, typename Acc>
 void DoseEngine::execute(const sparse::CsrMatrix<MatV>& A,
                          std::span<const Acc> x, std::span<Acc> y,
-                         std::uint64_t schedule_seed) {
-  if (backend_ == Backend::kNative) {
+                         std::uint64_t schedule_seed, Backend backend) {
+  if (backend == Backend::kNative) {
     switch (family_) {
       case Family::kVector:
         native_vector_spmv(A, x, y, native_);
@@ -573,7 +600,8 @@ void DoseEngine::execute_batch(const sparse::CsrMatrix<MatV>& A,
   // Remaining families have no batched traversal; loop single products.
   for (std::size_t j = 0; j < batch; ++j) {
     execute<MatV, Acc>(A, std::span<const Acc>(xs[j], A.num_cols),
-                       std::span<Acc>(ys[j], A.num_rows), schedule_seed);
+                       std::span<Acc>(ys[j], A.num_rows), schedule_seed,
+                       backend_);
   }
 }
 
@@ -594,10 +622,18 @@ std::vector<double> DoseEngine::compute(std::span<const double> spot_weights,
     return dose;
   }
 
+  compute_bitwise(spot_weights, dose, schedule_seed, backend_);
+  return dose;
+}
+
+void DoseEngine::compute_bitwise(std::span<const double> spot_weights,
+                                 std::span<double> dose,
+                                 std::uint64_t schedule_seed,
+                                 Backend backend) {
   switch (mode_) {
     case Mode::kHalfDouble:
-      execute<pd::Half, double>(half_matrix_, spot_weights,
-                                std::span<double>(dose), schedule_seed);
+      execute<pd::Half, double>(half_matrix_, spot_weights, dose,
+                                schedule_seed, backend);
       break;
     case Mode::kSingle: {
       std::vector<float> x32(spot_weights.size());
@@ -605,17 +641,16 @@ std::vector<double> DoseEngine::compute(std::span<const double> spot_weights,
                      [](double v) { return static_cast<float>(v); });
       std::vector<float> y32(stats_.rows, 0.0f);
       execute<float, float>(single_matrix_, std::span<const float>(x32),
-                            std::span<float>(y32), schedule_seed);
+                            std::span<float>(y32), schedule_seed, backend);
       std::transform(y32.begin(), y32.end(), dose.begin(),
                      [](float v) { return static_cast<double>(v); });
       break;
     }
     case Mode::kDouble:
-      execute<double, double>(double_matrix_, spot_weights,
-                              std::span<double>(dose), schedule_seed);
+      execute<double, double>(double_matrix_, spot_weights, dose,
+                              schedule_seed, backend);
       break;
   }
-  return dose;
 }
 
 std::vector<std::vector<double>> DoseEngine::compute_batch(

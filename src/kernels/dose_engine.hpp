@@ -88,7 +88,12 @@ class DoseEngine {
     DeltaMode mode = DeltaMode::kBitwise;
     std::uint64_t changed_cols = 0;  ///< bitwise-changed weight entries.
     std::uint64_t delta_nnz = 0;     ///< nnz of the changed columns (|Δw| work).
-    std::uint64_t touched_rows = 0;  ///< dose rows written.
+    std::uint64_t touched_rows = 0;  ///< dose rows rewritten (kBitwise).
+    std::uint64_t touched_nnz = 0;   ///< stored nnz of those rows.
+    /// kBitwise only: replaying the touched rows would have streamed at
+    /// least a full product's bytes, so the full compute ran instead and
+    /// every row was rewritten.
+    bool full_compute = false;
   };
 
   using Family = SpmvFamily;
@@ -216,7 +221,9 @@ class DoseEngine {
   ///
   ///  * DeltaMode::kBitwise — recomputes exactly the rows reachable from the
   ///    changed columns, replaying the engine's per-row reduction order; the
-  ///    updated dose is bitwise identical to compute(new_weights).  Executes
+  ///    updated dose is bitwise identical to compute(new_weights).  When the
+  ///    replay would stream at least a full product's bytes, runs the
+  ///    bitwise tier's full compute instead (DeltaRun::full_compute).  Executes
   ///    host-native regardless of backend() (like the fast tier, there is no
   ///    simulated delta kernel); bits are invariant across thread counts.
   ///  * DeltaMode::kFast — dose += Σ_j D[:,j]·Δw_j over the changed columns;
@@ -282,7 +289,12 @@ class DoseEngine {
   void analyze_structure(const sparse::CsrMatrix<V>& matrix);
   template <typename MatV, typename Acc>
   void execute(const sparse::CsrMatrix<MatV>& A, std::span<const Acc> x,
-               std::span<Acc> y, std::uint64_t schedule_seed);
+               std::span<Acc> y, std::uint64_t schedule_seed,
+               Backend backend);
+  /// The bitwise tier's full product on `backend` into zeroed `dose`.
+  void compute_bitwise(std::span<const double> spot_weights,
+                       std::span<double> dose, std::uint64_t schedule_seed,
+                       Backend backend);
   template <typename MatV, typename Acc>
   void execute_batch(const sparse::CsrMatrix<MatV>& A,
                      std::span<const Acc* const> xs, std::span<Acc* const> ys,

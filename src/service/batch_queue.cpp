@@ -25,11 +25,11 @@ std::uint8_t BatchQueue::effective_priority(const QueuedRequest& head,
   if (head.priority == 0) {
     return 0;
   }
-  // A bulk head that has waited kBulkEscalationAges flush ages is promoted
-  // to interactive for selection, bounding how long interactive pressure can
+  // A bulk head that has waited kBulkEscalationTicks is promoted to
+  // interactive for selection, bounding how long interactive pressure can
   // defer the optimizer fleet.
-  const std::uint64_t boost = kBulkEscalationAges * config_.flush_age_ticks;
-  return now >= head.enqueue_tick + boost ? std::uint8_t{0} : head.priority;
+  return now >= head.enqueue_tick + kBulkEscalationTicks ? std::uint8_t{0}
+                                                         : head.priority;
 }
 
 std::vector<QueuedRequest> BatchQueue::pop_ready(std::uint64_t now,

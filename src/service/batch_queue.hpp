@@ -2,13 +2,16 @@
 // Adaptive request-coalescing queue for DoseService.
 //
 // BatchQueue groups submitted requests by plan and decides when a plan's
-// pending run should be launched as one DoseEngine::compute_batch: when the
-// plan has a full batch (batch_cap), when its oldest request has waited
-// flush_age_ticks (so a lone request is never parked indefinitely behind an
-// adaptive batch that will not fill), or when the caller drains.  Per plan
-// the order is strict FIFO — a batch is always a prefix of the plan's
-// submission order, and compute_batch preserves per-column bits — so
-// batching can never reorder or alter any request's dose (docs/service.md).
+// pending run should be launched as one DoseEngine::compute_batch.  By
+// default it is work-conserving: a plan that is not busy launches its head
+// as soon as a consumer asks, so a batch forms only from requests that
+// queued while the plan's previous launch ran or while every consumer was
+// busy.  An opt-in hold (flush_age_ticks > 0) instead keeps a partial batch
+// until its head has waited that long, the plan is full (batch_cap), or the
+// caller drains.  Per plan the order is strict FIFO — a batch is always a
+// prefix of the plan's submission order, and compute_batch preserves
+// per-column bits — so batching can never reorder or alter any request's
+// dose (docs/service.md).
 //
 // The queue is deliberately *passive and deterministic*: no threads, no
 // clocks — time is an opaque monotone tick supplied by the caller, and all
@@ -30,15 +33,16 @@ namespace pd::service {
 struct BatchQueueConfig {
   std::size_t batch_cap = 8;    ///< Max requests coalesced into one launch.
   std::size_t queue_bound = 256;  ///< Max queued requests (backpressure).
-  std::uint64_t flush_age_ticks = 2000;  ///< Age at which a head flushes.
+  /// Opt-in hold: a partial batch waits until its head is this old.
+  /// 0 = work-conserving (a non-busy plan's head launches at once).
+  std::uint64_t flush_age_ticks = 0;
 };
 
-/// A bulk-priority head older than this many flush ages counts as
-/// interactive in pop_ready's plan selection, so sustained interactive
-/// traffic delays the optimizer fleet by a bounded amount instead of
-/// starving it.  (With flush_age_ticks == 0 the escalation is immediate and
-/// priorities degenerate to pure oldest-head order.)
-constexpr std::uint64_t kBulkEscalationAges = 4;
+/// A bulk-priority head that has waited this many ticks (8 ms in
+/// DoseService's µs ticks) counts as interactive in pop_ready's plan
+/// selection, so sustained interactive traffic delays the optimizer fleet by
+/// a bounded amount instead of starving it.  Independent of the hold.
+constexpr std::uint64_t kBulkEscalationTicks = 8000;
 
 /// One queued request.  `deadline_tick` == 0 means no deadline.
 /// `exec_key` tags the execution configuration the request asked for
@@ -72,11 +76,12 @@ class BatchQueue {
   /// Pop the next launchable batch and mark its plan busy.  A plan is
   /// launchable when it is not busy (one in-flight batch per plan keeps its
   /// engine single-writer and its ordering FIFO) and (pending >= batch_cap,
-  /// or its head aged >= flush_age_ticks, or `drain`).  Among launchable
-  /// plans the winner is the lowest (effective head priority, head enqueue
-  /// tick) pair: interactive heads beat bulk heads, oldest head breaks ties,
-  /// and a bulk head past kBulkEscalationAges flush ages counts as
-  /// interactive so it cannot starve (see QueuedRequest::priority).
+  /// or its head aged >= flush_age_ticks — always true at the default 0 —
+  /// or `drain`).  Among launchable plans the winner is the lowest
+  /// (effective head priority, head enqueue tick) pair: interactive heads
+  /// beat bulk heads, oldest head breaks ties, and a bulk head that waited
+  /// kBulkEscalationTicks counts as interactive so it cannot starve (see
+  /// QueuedRequest::priority).
   /// The batch is the longest prefix of the plan's FIFO sharing the head's
   /// exec_key (capped at batch_cap), so mixed-tier traffic splits into
   /// uniform launches without ever reordering a plan's requests.
@@ -96,7 +101,8 @@ class BatchQueue {
   bool cancel(std::uint64_t id);
 
   /// Earliest tick at which anything becomes actionable (a head reaches
-  /// flush age or a deadline passes); nullopt when nothing is pending.
+  /// flush age — its enqueue tick at the default hold of 0 — or a deadline
+  /// passes); nullopt when nothing is pending.
   /// A full non-busy plan is actionable *now*; it reports its head's
   /// enqueue tick (always <= now), NOT a literal 0.  Single-queue consumers
   /// only compare the result against now, so the two are equivalent there —
@@ -122,7 +128,7 @@ class BatchQueue {
   };
 
   /// Plan-selection priority of a head at `now` (bulk escalates to
-  /// interactive past kBulkEscalationAges flush ages).
+  /// interactive once it has waited kBulkEscalationTicks).
   std::uint8_t effective_priority(const QueuedRequest& head,
                                   std::uint64_t now) const;
 

@@ -17,6 +17,9 @@ namespace {
 // a long-lived service never grows it.
 constexpr std::size_t kLatencyWindow = 1u << 15;
 
+// Retry-after floor before any launch has completed (no launch-cost EWMA).
+constexpr double kFirstRetryAfterMs = 1.0;
+
 // BatchQueue exec_key encoding: batches are uniform in tier *and* fast
 // format, so one engine reconfiguration covers the whole launch.
 std::uint32_t exec_key_for(const SubmitOptions& options) {
@@ -141,14 +144,17 @@ double DoseService::elapsed_ms(
 
 double DoseService::retry_after_hint() const {
   // Rough time for the backlog to clear: launches needed to drain the queue
-  // times the recent launch cost, floored at one flush deadline.  A hint for
-  // clients, not a guarantee.
+  // times the recent launch cost, floored at one launch (kFirstRetryAfterMs
+  // before any launch completed) so it is never 0 and never the hold.  A
+  // hint for clients, not a guarantee.
   const double launches =
       static_cast<double>(queue_.depth() + config_.batch_cap - 1) /
       static_cast<double>(config_.batch_cap);
   const double est = launches * mean_launch_ms_ /
                      static_cast<double>(config_.workers);
-  return std::max(config_.flush_deadline_ms, est);
+  const double floor =
+      mean_launch_ms_ > 0.0 ? mean_launch_ms_ : kFirstRetryAfterMs;
+  return std::max(floor, est);
 }
 
 Ticket DoseService::submit(const std::string& plan,

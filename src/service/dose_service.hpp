@@ -4,11 +4,14 @@
 // The paper's kernel exists to sit inside optimizer loops that fire thousands
 // of independent `dose = D · w` requests (§II).  DoseService turns that into
 // a many-client service: callers submit(plan, weights) and get a
-// future<DoseResult>; a BatchQueue coalesces requests that target the same
-// plan into one DoseEngine::compute_batch launch (flush on batch-size target,
-// flush deadline, or drain); a fixed worker pool executes launches over a
-// bounded LRU EngineCache; per-request deadlines, cancellation, and
-// queue-depth backpressure keep the queue bounded under overload.
+// future<DoseResult>; a fixed worker pool executes launches over a bounded
+// LRU EngineCache; per-request deadlines, cancellation, and queue-depth
+// backpressure keep the queue bounded under overload.  Dispatch is
+// work-conserving: a free worker launches a non-busy plan's head at once,
+// and a BatchQueue coalesces the requests that queued for one plan while its
+// previous launch ran (or while every worker was busy) into one
+// DoseEngine::compute_batch.  ServiceConfig::flush_deadline_ms opts into
+// holding partial batches for batch-mates instead.
 //
 // Reproducibility contract (§II-D): every request's dose is bitwise
 // identical to a sequential DoseEngine::compute of its weights on the same
@@ -79,8 +82,9 @@ struct ServiceConfig {
   unsigned workers = 2;         ///< Worker threads (>= 1).
   std::size_t batch_cap = 8;    ///< Max requests per compute_batch launch.
   std::size_t queue_bound = 256;  ///< Backpressure threshold.
-  double flush_deadline_ms = 2.0;   ///< Max age of a queued head before a
-                                    ///< partial batch launches anyway.
+  /// Opt-in hold: a partial batch waits for batch-mates until its head is
+  /// this old.  0 (default) launches a non-busy plan's head at once.
+  double flush_deadline_ms = 0.0;
   double default_deadline_ms = 0.0;  ///< Per-request default; 0 = none.
   std::size_t engine_cache_capacity = 4;
   EngineParams engine;          ///< How cached engines are constructed.
@@ -187,9 +191,10 @@ class DoseService {
   /// compute).
   std::size_t queue_depth() const;
 
-  /// The current retry-after backoff hint (the launch-cost EWMA the rejected
-  /// path reports), exposed so the sharded tier's admission control can
-  /// propagate the saturated shard's own estimate.
+  /// The current retry-after backoff hint (the backlog's clearing time the
+  /// rejected path reports, never below one launch — see retry_after_hint),
+  /// exposed so the sharded tier's admission control can propagate the
+  /// saturated shard's own estimate.
   double retry_after_estimate() const;
 
   /// Age (µs) of the oldest launchable head in this service's queue, or

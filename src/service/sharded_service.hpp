@@ -79,9 +79,10 @@ struct ShardedServiceStats {
   std::vector<std::uint64_t> routed_per_shard;  ///< Accepted, by shard.
   std::vector<ShardHealth> health;
   /// Age (µs) of each shard's oldest launchable head (-1 = none): the
-  /// cross-shard fairness observable — under steady load the spread stays
-  /// near one flush deadline because every consumer is oldest-head-fair
-  /// (BatchQueue::oldest_ready_head_tick).
+  /// cross-shard fairness observable.  Every consumer is oldest-head-fair
+  /// (BatchQueue::oldest_ready_head_tick) and a launchable head waits only
+  /// for a free worker, so under steady load no shard's head ages far past
+  /// the others'.
   std::vector<double> oldest_head_age_us;
   std::vector<ServiceStats> shards;
 };

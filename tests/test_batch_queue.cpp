@@ -9,8 +9,8 @@
 //  * per-plan FIFO: the concatenation of popped batches for a plan equals
 //    that plan's submission order minus cancelled/expired requests;
 //  * a popped batch never exceeds batch_cap, is single-plan, and is only
-//    produced when the plan is full, its head aged past flush_age_ticks, or
-//    the caller drains;
+//    produced when the plan is full, its head aged past flush_age_ticks
+//    (always, at the work-conserving hold of 0), or the caller drains;
 //  * depth() never exceeds queue_bound, and submit() returns false exactly
 //    at the bound;
 //  * at most one in-flight batch per plan (pop_ready never returns a busy
@@ -44,7 +44,7 @@ TEST_P(ServiceBatchQueueProperty, RandomInterleavingsKeepInvariants) {
   BatchQueueConfig config;
   config.batch_cap = 1 + rng.uniform_index(8);
   config.queue_bound = 4 + rng.uniform_index(28);
-  config.flush_age_ticks = 1 + rng.uniform_index(50);
+  config.flush_age_ticks = rng.uniform_index(51);  // 0 = work-conserving
   BatchQueue queue(config);
 
   const std::vector<std::string> plans = {"liver", "prostate", "hn"};
@@ -310,13 +310,64 @@ TEST(ServiceBatchQueueProperty, BulkHeadEscalatesPastStarvationBound) {
   request.priority = 0;
   ASSERT_TRUE(queue.submit(request));
 
-  // At now=45 the bulk head has waited 45 ticks >= kBulkEscalationAges (4)
-  // * flush_age (10): it counts as interactive, and being older it wins —
+  // At now = kBulkEscalationTicks + 5 the bulk head has waited past the
+  // escalation bound: it counts as interactive, and being older it wins —
   // sustained interactive traffic delays bulk by a bounded amount only.
-  const std::uint64_t now = kBulkEscalationAges * config.flush_age_ticks + 5;
+  const std::uint64_t now = kBulkEscalationTicks + 5;
   std::vector<QueuedRequest> first = queue.pop_ready(now, false);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first.front().plan, "bulk_ancient");
+}
+
+TEST(ServiceBatchQueueProperty, WorkConservingHoldKeepsPriorities) {
+  // The default hold of 0: a lone head is launchable at its own enqueue
+  // tick, and bulk escalation is a fixed bound, not a multiple of the hold.
+  BatchQueueConfig config;
+  config.batch_cap = 4;
+  config.queue_bound = 16;
+  ASSERT_EQ(config.flush_age_ticks, 0u);
+  BatchQueue queue(config);
+
+  QueuedRequest request;
+  request.plan = "lone";
+  request.id = 1;
+  request.enqueue_tick = 100;
+  ASSERT_TRUE(queue.submit(request));
+  ASSERT_TRUE(queue.next_event_tick().has_value());
+  EXPECT_EQ(*queue.next_event_tick(), 100u);
+  std::vector<QueuedRequest> lone = queue.pop_ready(/*now=*/100, false);
+  ASSERT_EQ(lone.size(), 1u);
+  EXPECT_EQ(lone.front().id, 1u);
+  queue.mark_idle("lone");
+
+  // An interactive head beats an older bulk head until the bulk head has
+  // waited kBulkEscalationTicks...
+  request.plan = "bulk";
+  request.id = 2;
+  request.enqueue_tick = 1000;
+  request.priority = 1;
+  ASSERT_TRUE(queue.submit(request));
+  request.plan = "interactive";
+  request.id = 3;
+  request.priority = 0;
+  for (const std::uint64_t tick :
+       {std::uint64_t{1001}, 1000 + kBulkEscalationTicks - 1}) {
+    request.enqueue_tick = tick;
+    ASSERT_TRUE(queue.submit(request));
+    std::vector<QueuedRequest> first = queue.pop_ready(tick, false);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first.front().plan, "interactive") << "at tick " << tick;
+    queue.mark_idle("interactive");
+    ++request.id;
+  }
+  // ...and from then on the bulk head counts as interactive and, being
+  // older, launches first.
+  const std::uint64_t escalated = 1000 + kBulkEscalationTicks;
+  request.enqueue_tick = escalated;
+  ASSERT_TRUE(queue.submit(request));
+  std::vector<QueuedRequest> first = queue.pop_ready(escalated, false);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first.front().plan, "bulk");
 }
 
 TEST(ServiceBatchQueueProperty, MultiQueueConsumerStaysOldestHeadFair) {

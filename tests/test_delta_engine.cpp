@@ -307,6 +307,37 @@ TEST(DeltaSidecar, LastDeltaReportsTrueTouchCounts) {
   EXPECT_EQ(fast.touched_rows, 0u);  // fast builds no worklist
 }
 
+TEST(DeltaSidecar, FullComputeOnceTheReplayStreamsAFullProduct) {
+  // Liver 1 at full scale: 0.1% changed spots reach about half the nnz and
+  // replay those rows; 10% reach nearly all of them, where the replay would
+  // stream more than one full product, so the full compute runs.  Either
+  // way the bits are the full compute's.
+  const cases::CaseDefinition def = cases::liver_case(1.0);
+  DoseEngine engine(
+      cases::generate_beam(def, cases::build_phantom(def), 0).matrix,
+      gpusim::make_a100(), Mode::kHalfDouble, kDefaultVectorTpb,
+      SpmvFamily::kVector, Backend::kNative);
+  const std::vector<double> w = base_weights_for(engine.num_spots(), 31);
+  const std::vector<double> base = engine.compute(w);
+  for (const double frac : {0.001, 0.1}) {
+    const std::vector<double> w_new = perturb(w, frac, 37);
+    std::vector<double> dose = base;
+    const DoseEngine::DeltaRun run =
+        engine.apply_delta(dose, w, w_new, DeltaMode::kBitwise);
+    const bool full = frac > 0.01;
+    EXPECT_EQ(run.full_compute, full) << frac;
+    if (full) {
+      EXPECT_EQ(run.touched_rows, engine.num_voxels());
+      EXPECT_EQ(run.touched_nnz, engine.stats().nnz);
+    } else {
+      EXPECT_LT(run.touched_rows, engine.num_voxels() / 4);
+      EXPECT_LT(run.touched_nnz, engine.stats().nnz);
+    }
+    expect_bitwise(dose, engine.compute(w_new),
+                   full ? "10% full compute" : "0.1% replay");
+  }
+}
+
 TEST(DeltaSidecar, FastModeEqualsTheAscendingScatterAdd) {
   // Bit-pin of the fast mode: dose += v·Δw in ascending column order,
   // ascending rows within a column, over the transpose of the widened stored

@@ -20,11 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
@@ -153,6 +155,9 @@ struct StressCase {
   Backend backend;
   unsigned workers;
   std::size_t batch_cap;
+  /// Keep ServiceConfig's default hold (work-conserving dispatch) instead
+  /// of make_config's 0.5 ms.
+  bool default_hold = false;
 };
 
 class ServiceStress : public ::testing::TestWithParam<StressCase> {};
@@ -163,8 +168,12 @@ TEST_P(ServiceStress, DifferentialBitwiseUnderConcurrency) {
   const std::size_t clients = stress_elevated() ? 8 : 3;
   const std::size_t requests_per_client = stress_elevated() ? 48 : 10;
 
-  DoseService service(
-      make_config(param.backend, param.workers, param.batch_cap));
+  ServiceConfig config =
+      make_config(param.backend, param.workers, param.batch_cap);
+  if (param.default_hold) {
+    config.flush_deadline_ms = ServiceConfig{}.flush_deadline_ms;
+  }
+  DoseService service(config);
   register_plans(service, num_plans);
 
   std::vector<std::vector<ClientRecord>> per_client(clients);
@@ -218,6 +227,9 @@ std::string stress_case_name(
       info.param.backend == Backend::kNative ? "native" : "gpusim";
   name += "_w" + std::to_string(info.param.workers);
   name += "_cap" + std::to_string(info.param.batch_cap);
+  if (info.param.default_hold) {
+    name += "_default_hold";
+  }
   return name;
 }
 
@@ -233,7 +245,12 @@ INSTANTIATE_TEST_SUITE_P(
         // Gpusim backend: corner configs (the simulated device is slow; the
         // batching logic upstream of the backend is identical).
         StressCase{Backend::kGpusim, 1, 4}, StressCase{Backend::kGpusim, 2, 9},
-        StressCase{Backend::kGpusim, 5, 1}),
+        StressCase{Backend::kGpusim, 5, 1},
+        // The default, work-conserving dispatch: batches form only behind a
+        // busy plan or busy workers.
+        StressCase{Backend::kNative, 1, 9, true},
+        StressCase{Backend::kNative, 2, 4, true},
+        StressCase{Backend::kGpusim, 2, 9, true}),
     stress_case_name);
 
 // ---------------------------------------------------------------------------
@@ -257,6 +274,8 @@ TEST(ServiceFaults, QueueOverflowBackpressure) {
   DoseResult rejected = bounced.result.get();
   EXPECT_EQ(rejected.status, RequestStatus::kRejected);
   EXPECT_GT(rejected.retry_after_ms, 0.0);
+  // The hint estimates the backlog's clearing time, not the hold.
+  EXPECT_LT(rejected.retry_after_ms, config.flush_deadline_ms);
   EXPECT_EQ(service.stats().rejected, 1u);
   EXPECT_EQ(service.stats().max_queue_depth, 4u);
 
@@ -267,6 +286,46 @@ TEST(ServiceFaults, QueueOverflowBackpressure) {
     EXPECT_EQ(ticket.result.get().status, RequestStatus::kOk);
   }
   EXPECT_EQ(service.stats().completed, 4u);
+}
+
+TEST(ServiceFaults, RetryAfterIsPositiveBeforeTheFirstLaunch) {
+  // The default hold, one worker stalled inside the plan's first engine
+  // build: no launch has completed, so there is no launch cost to scale
+  // the hint by — a rejected submit must still be told to wait a while.
+  ServiceConfig config = make_config(Backend::kNative, 1, 8);
+  config.flush_deadline_ms = ServiceConfig{}.flush_deadline_ms;
+  config.queue_bound = 4;
+  std::latch building(1);
+  std::latch release(1);
+  std::atomic<bool> entered{false};
+  DoseService service(config);
+  service.register_plan(plan_name(0), [&] {
+    if (!entered.exchange(true)) {
+      building.count_down();
+    }
+    release.wait();
+    return plan_matrix(0);
+  });
+
+  const std::vector<double> weights(kSpots, 1.0);
+  std::vector<Ticket> accepted;
+  accepted.push_back(service.submit(plan_name(0), weights));
+  building.wait();  // the worker popped it and is blocked in the build
+  for (std::size_t i = 0; i < config.queue_bound; ++i) {
+    accepted.push_back(service.submit(plan_name(0), weights));
+    EXPECT_TRUE(accepted.back().accepted);  // no ASSERT: release must run
+  }
+  Ticket bounced = service.submit(plan_name(0), weights);
+  EXPECT_FALSE(bounced.accepted);
+  DoseResult rejected = bounced.result.get();
+  EXPECT_EQ(rejected.status, RequestStatus::kRejected);
+  EXPECT_GT(rejected.retry_after_ms, 0.0);
+
+  release.count_down();
+  service.drain();
+  for (Ticket& ticket : accepted) {
+    EXPECT_EQ(ticket.result.get().status, RequestStatus::kOk);
+  }
 }
 
 TEST(ServiceFaults, DeadlineExpiresMidQueue) {

@@ -413,6 +413,29 @@ TEST(ThreadcheckStack, ThreadPoolRunsClean) {
   EXPECT_TRUE(report.clean()) << report.summary();
 }
 
+TEST(ThreadcheckStack, ThreadPoolOutlivesBackToBackSessions) {
+  // Pools that outlive many short sessions, each session running one
+  // parallel_for under schedule perturbation: every event a batch causes —
+  // the done notify included — must land in that batch's session.  The
+  // sessions alternate between two pools, so a notify that strays into the
+  // next session meets no wait on its condvar there and is flagged.
+  gpusim::ThreadPool pools[2] = {gpusim::ThreadPool(3),
+                                 gpusim::ThreadPool(3)};
+  CheckConfig config;
+  config.schedule_seed = 0x9001ULL;
+  for (int session = 0; session < 200; ++session) {
+    std::atomic<long> sum{0};
+    const Report report = run_session(config, [&] {
+      pools[session % 2].parallel_for(16, [&](std::size_t i) {
+        sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
+      });
+    });
+    ASSERT_EQ(sum.load(), 16 * 15 / 2);
+    ASSERT_TRUE(report.clean()) << "session " << session << ": "
+                                << report.summary();
+  }
+}
+
 TEST(ThreadcheckStack, ParallelSpmvRunsClean) {
   // The nnz-balanced row partition needs no locks: disjoint writes plus the
   // join edge.  The recorded ranges must prove exactly that.

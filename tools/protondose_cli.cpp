@@ -670,6 +670,9 @@ int cmd_delta(int argc, const char* const* argv) {
                               std::to_string(st.nnz)});
   t.add_row({"touched rows", std::to_string(run.touched_rows) + " of " +
                                  std::to_string(st.rows)});
+  t.add_row({"touched nnz", std::to_string(run.touched_nnz) + " of " +
+                                std::to_string(st.nnz)});
+  t.add_row({"bitwise path", run.full_compute ? "full compute" : "row replay"});
   t.add_row({"tuner breakeven frac",
              pd::fmt_double(threshold.breakeven_changed_frac, 4)});
   t.add_row({"full recompute", pd::fmt_sci(s_full, 3) + " s"});
@@ -696,10 +699,16 @@ int cmd_serve_replay(int argc, const char* const* argv) {
       "replay a synthetic optimizer request stream through DoseService");
   add_source_options(cli);
   cli.add_option("backend", "native", "execution backend: native or gpusim");
-  cli.add_option("workers", "2", "service worker threads");
-  cli.add_option("batch-cap", "8", "max requests coalesced per launch");
-  cli.add_option("queue-bound", "256", "queue depth before backpressure");
-  cli.add_option("flush-ms", "2.0", "partial-batch flush deadline (ms)");
+  const pd::service::ServiceConfig defaults;
+  cli.add_option("workers", std::to_string(defaults.workers),
+                 "service worker threads");
+  cli.add_option("batch-cap", std::to_string(defaults.batch_cap),
+                 "max requests coalesced per launch");
+  cli.add_option("queue-bound", std::to_string(defaults.queue_bound),
+                 "queue depth before backpressure");
+  cli.add_option("flush-ms", pd::fmt_double(defaults.flush_deadline_ms, 1),
+                 "hold a partial batch for batch-mates this long (ms; "
+                 "0 = launch at once)");
   cli.add_option("clients", "4", "concurrent client threads");
   cli.add_option("requests", "64", "requests per client");
   cli.add_option("deadline-ms", "0", "per-request queue deadline (0 = none)");
