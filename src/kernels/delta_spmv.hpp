@@ -97,28 +97,21 @@ inline std::optional<AffectedRows> csc_affected_rows(
   if (mark.size() != t.num_cols) {
     mark.assign(t.num_cols, 0);
   }
-  // Neighbouring spots reach overlapping rows, so the walk strides through
-  // the changed columns: a change that reaches most rows is seen to do so
-  // after a few of them.  The row set does not depend on the order.
-  constexpr std::size_t kStride = 16;
   AffectedRows affected;
   bool over_budget = false;
-  for (std::size_t first = 0; first < kStride && !over_budget; ++first) {
-    for (std::size_t i = first; i < cols.size(); i += kStride) {
-      const std::uint32_t c = cols[i];
-      for (std::uint32_t k = t.row_ptr[c]; k < t.row_ptr[c + 1]; ++k) {
-        const std::uint32_t r = t.col_idx[k];
-        if (mark[r] == 0) {
-          mark[r] = 1;
-          affected.rows.push_back(r);
-          affected.nnz += row_ptr[r + 1] - row_ptr[r];
-        }
+  for (const std::uint32_t c : cols) {
+    for (std::uint32_t k = t.row_ptr[c]; k < t.row_ptr[c + 1]; ++k) {
+      const std::uint32_t r = t.col_idx[k];
+      if (mark[r] == 0) {
+        mark[r] = 1;
+        affected.rows.push_back(r);
+        affected.nnz += row_ptr[r + 1] - row_ptr[r];
       }
-      over_budget = affected.nnz * nnz_bytes + affected.rows.size() * 4 >=
-                    budget_bytes;
-      if (over_budget) {
-        break;
-      }
+    }
+    over_budget =
+        affected.nnz * nnz_bytes + affected.rows.size() * 4 >= budget_bytes;
+    if (over_budget) {
+      break;
     }
   }
   for (const std::uint32_t r : affected.rows) {

@@ -80,8 +80,10 @@ struct OptimizerResult {
   /// precision conversions) before the first iteration, plus any engines
   /// built lazily during the run.
   double setup_seconds = 0.0;
-  /// Forward products served by bitwise compute_delta after warm start
-  /// (a subset of spmv_count; 0 when the warm start never engaged).
+  /// Forward products requested through bitwise compute_delta after warm
+  /// start (a subset of spmv_count; 0 when the warm start never engaged).
+  /// This includes the calls where apply_delta found the row replay no
+  /// cheaper and ran the full compute instead (DeltaRun::full_compute).
   std::uint64_t delta_spmv_count = 0;
   /// 1-based accepted iteration at which delta solves switched on
   /// (0 = never).

@@ -4,7 +4,8 @@
 //  (a) DeltaMode::kBitwise — compute_delta is EXPECT_EQ-bitwise-identical to
 //      a full compute of the new weights, on every Table I beam, both
 //      backends, thread counts {1, 2, 5}, every kernel family and precision
-//      mode, and through the service (submit_delta);
+//      mode, on both of its paths (row replay and full-compute fallback),
+//      and through the service (submit_delta);
 //  (b) DeltaMode::kFast — the scatter-add update stays inside a *derived*
 //      per-row bound (test_fast_tier.cpp style), and the bound is tight
 //      enough to reject a deliberately miscompiled reference.
@@ -109,26 +110,46 @@ void expect_bitwise(const std::vector<double>& got,
   }
 }
 
-/// kBitwise differential on one engine: delta result must match the full
-/// compute of the new weights bit for bit, at every thread count.
-void check_bitwise_delta(DoseEngine& engine, const std::string& label,
-                         double frac = 0.02) {
+/// The two paths of the bitwise tier (docs/delta_engine.md).  On every
+/// scale-0.2 beam here, 2% changed spots replay the touched rows; 50% reach
+/// every row, where the replay would stream more than a full product, so
+/// apply_delta runs the full compute instead.
+struct DeltaPath {
+  double frac;
+  bool full_compute;
+  const char* name;
+};
+constexpr DeltaPath kDeltaPaths[] = {{0.02, false, "replay"},
+                                     {0.5, true, "full compute"}};
+
+/// kBitwise differential on one engine, once per path: the delta result
+/// must match the full compute of the new weights bit for bit, at every
+/// thread count, and apply_delta must report the path it was meant to take.
+void check_bitwise_delta(DoseEngine& engine, const std::string& label) {
   const std::vector<double> w = base_weights_for(engine.num_spots(), 211);
-  const std::vector<double> w_new = perturb(w, frac, 977);
   const std::vector<double> base = engine.compute(w);
-  const std::vector<double> full = engine.compute(w_new);
-  for (const unsigned threads : {1u, 2u, 5u}) {
-    engine.set_native_threads(threads);
-    const std::vector<double> delta =
-        engine.compute_delta(base, w, w_new, DeltaMode::kBitwise);
-    expect_bitwise(delta, full,
-                   (label + " t" + std::to_string(threads)).c_str());
+  std::vector<std::vector<double>> w_new;
+  std::vector<std::vector<double>> full;
+  for (const DeltaPath& path : kDeltaPaths) {
+    w_new.push_back(perturb(w, path.frac, 977));
+    full.push_back(engine.compute(w_new.back()));
   }
-  std::vector<double> applied = base;
-  EXPECT_GT(engine.apply_delta(applied, w, w_new, DeltaMode::kBitwise)
-                .changed_cols,
-            0u);
-  expect_bitwise(applied, full, (label + " apply").c_str());
+  for (std::size_t p = 0; p < std::size(kDeltaPaths); ++p) {
+    const std::string what = label + " " + kDeltaPaths[p].name;
+    for (const unsigned threads : {1u, 2u, 5u}) {
+      engine.set_native_threads(threads);
+      const std::vector<double> delta =
+          engine.compute_delta(base, w, w_new[p], DeltaMode::kBitwise);
+      expect_bitwise(delta, full[p],
+                     (what + " t" + std::to_string(threads)).c_str());
+    }
+    std::vector<double> applied = base;
+    const DoseEngine::DeltaRun run =
+        engine.apply_delta(applied, w, w_new[p], DeltaMode::kBitwise);
+    EXPECT_GT(run.changed_cols, 0u) << what;
+    EXPECT_EQ(run.full_compute, kDeltaPaths[p].full_compute) << what;
+    expect_bitwise(applied, full[p], (what + " apply").c_str());
+  }
 }
 
 // --- (a) the bitwise contract -----------------------------------------------
@@ -192,7 +213,10 @@ TEST(DeltaCases, ChainedAppliesStayBitwise) {
   for (int step = 0; step < 6; ++step) {
     const std::vector<double> w_new =
         perturb(w, 0.03, 42 + static_cast<std::uint64_t>(step));
-    engine.apply_delta(dose, w, w_new, DeltaMode::kBitwise);
+    // 3% changed stays on the replay path (about 85% of the nnz touched).
+    EXPECT_FALSE(
+        engine.apply_delta(dose, w, w_new, DeltaMode::kBitwise).full_compute)
+        << step;
     w = w_new;
   }
   expect_bitwise(dose, engine.compute(w), "chained applies");
