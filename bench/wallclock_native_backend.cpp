@@ -7,10 +7,14 @@
 // enforces it).  This bench records what that buys: dose products per second
 // for the native backend at 1/2/4 threads against gpusim functional-only and
 // full trace-replay, plus the batched multi-scenario traversal (K=9, the
-// robust-planning shape) against K looped single products.  Results land in
+// robust-planning shape) against K looped single products, and which row
+// kernel the default storage ran (AVX2 or scalar) with a check that its dose
+// is bitwise the scalar body's on every row of the beam.  Results land in
 // bench_results/wallclock_native_backend.csv and BENCH_native.json.
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -24,6 +28,8 @@
 #include "gpusim/simcheck.hpp"
 #include "gpusim/trace.hpp"
 #include "kernels/dose_engine.hpp"
+#include "kernels/native_spmv.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/random.hpp"
 
 namespace {
@@ -120,6 +126,34 @@ int main() {
   });
   const double batched_speedup = looped_s / batched_s;
 
+  // Row kernel of the default storage (half values, double accumulation):
+  // the dispatched body against the scalar oracle on every row, one thread.
+  const auto half = pd::sparse::convert_values<pd::Half>(beam.matrix);
+  const char* row_kernel =
+      pd::kernels::native_row_kernel_name<double, pd::Half, std::uint32_t>(
+          half.num_cols);
+  std::vector<double> y_scalar(half.num_rows);
+  std::vector<double> y_dispatched(half.num_rows);
+  const auto all_rows = [&](bool scalar, std::vector<double>& y) {
+    for (std::uint64_t r = 0; r < half.num_rows; ++r) {
+      y[r] = scalar ? pd::kernels::native_row_product_scalar(
+                          half.values.data(), half.col_idx.data(), x.data(),
+                          half.row_ptr[r], half.row_ptr[r + 1])
+                    : pd::kernels::native_row_product(
+                          half.values.data(), half.col_idx.data(), x.data(),
+                          half.row_ptr[r], half.row_ptr[r + 1], half.num_cols);
+    }
+  };
+  const double row_scalar_s = time_per_call([&] { all_rows(true, y_scalar); });
+  const double row_dispatched_s =
+      time_per_call([&] { all_rows(false, y_dispatched); });
+  bool row_kernel_bitwise = true;
+  for (std::uint64_t r = 0; r < half.num_rows; ++r) {
+    row_kernel_bitwise =
+        row_kernel_bitwise && std::bit_cast<std::uint64_t>(y_scalar[r]) ==
+                                  std::bit_cast<std::uint64_t>(y_dispatched[r]);
+  }
+
   pd::TextTable table({"backend", "ms / product", "speedup vs functional"});
   for (const auto& r : results) {
     table.add_row({r.name, fmt(r.seconds_per_product * 1e3),
@@ -130,6 +164,10 @@ int main() {
             << fmt(batched_s * 1e3) << " ms vs looped "
             << fmt(looped_s * 1e3) << " ms -> " << fmt(batched_speedup, 2)
             << "x (one matrix traversal for all scenarios)\n";
+  std::cout << "row kernel " << row_kernel << ": "
+            << fmt(row_dispatched_s * 1e3) << " ms vs scalar "
+            << fmt(row_scalar_s * 1e3) << " ms per product (1 thread), "
+            << (row_kernel_bitwise ? "bitwise equal" : "BITS DIFFER") << "\n";
   std::cout << "every row above produces bitwise-identical dose (see "
                "tests/test_native_backend.cpp)\n\n";
 
@@ -168,8 +206,13 @@ int main() {
   json << "  \"batch\": {\"k\": " << kBatch
        << ", \"us_batched\": " << fmt(batched_s * 1e6, 1)
        << ", \"us_looped\": " << fmt(looped_s * 1e6, 1)
-       << ", \"batched_speedup\": " << fmt(batched_speedup, 3) << "}\n";
+       << ", \"batched_speedup\": " << fmt(batched_speedup, 3) << "},\n";
+  json << "  \"row_kernel\": \"" << row_kernel << "\",\n";
+  json << "  \"row_kernel_us\": {\"scalar\": " << fmt(row_scalar_s * 1e6, 1)
+       << ", \"dispatched\": " << fmt(row_dispatched_s * 1e6, 1) << "},\n";
+  json << "  \"row_kernel_bitwise\": "
+       << (row_kernel_bitwise ? "true" : "false") << "\n";
   json << "}\n";
   std::cout << "wrote BENCH_native.json\n";
-  return 0;
+  return row_kernel_bitwise ? 0 : 1;
 }

@@ -96,6 +96,16 @@ else
     fi
   done
   check_simcheck_brand "$nat" BENCH_native.json
+  # Deterministic quantities are gated exactly: the dispatched row kernel
+  # (AVX2 where the CPU has it) must reproduce the scalar body's bits.
+  if ! grep -Eq '"row_kernel"[[:space:]]*:[[:space:]]*"(avx2|scalar)"' "$nat"; then
+    echo "FAIL BENCH_native.json: \"row_kernel\" missing or not avx2/scalar"
+    fail=1
+  fi
+  if ! grep -Eq '"row_kernel_bitwise"[[:space:]]*:[[:space:]]*true' "$nat"; then
+    echo "FAIL BENCH_native.json: row kernel output is not bitwise the scalar body's"
+    fail=1
+  fi
   if command -v python3 >/dev/null 2>&1; then
     if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$nat"; then
       echo "FAIL BENCH_native.json: not valid JSON"

@@ -225,12 +225,13 @@ inline void csc_delta_axpy(const sparse::CsrMatrix<V>& t,
 template <typename Acc, typename MatV, typename IdxT>
 inline void native_adaptive_item_widen(const std::uint32_t* row_ptr,
                                        const MatV* values, const IdxT* col_idx,
-                                       const Acc* x, double* dose,
+                                       const Acc* x, std::uint64_t num_cols,
+                                       double* dose,
                                        const AdaptiveWorkItem& item) {
   if (item.long_row != 0) {
     const std::uint32_t row = item.row_begin;
     dose[row] = static_cast<double>(native_row_product(
-        values, col_idx, x, row_ptr[row], row_ptr[row + 1]));
+        values, col_idx, x, row_ptr[row], row_ptr[row + 1], num_cols));
     return;
   }
   const std::uint32_t start = row_ptr[item.row_begin];

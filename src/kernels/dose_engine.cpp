@@ -366,7 +366,8 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
       for (std::uint64_t i = part.boundaries[p]; i < part.boundaries[p + 1];
            ++i) {
         native_adaptive_item_widen(row_ptr, values, col_idx, x.data(),
-                                   dose.data(), adaptive_worklist_[items[i]]);
+                                   A.num_cols, dose.data(),
+                                   adaptive_worklist_[items[i]]);
       }
     });
     return;
@@ -394,8 +395,9 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
       const std::uint32_t r = rows[i];
       switch (family_) {
         case Family::kVector:
-          dose[r] = static_cast<double>(native_row_product(
-              values, col_idx, x.data(), row_ptr[r], row_ptr[r + 1]));
+          dose[r] = static_cast<double>(
+              native_row_product(values, col_idx, x.data(), row_ptr[r],
+                                 row_ptr[r + 1], A.num_cols));
           break;
         case Family::kClassical:
           dose[r] = static_cast<double>(native_classical_row(
@@ -408,8 +410,9 @@ void DoseEngine::delta_recompute_rows(const sparse::CsrMatrix<MatV>& A,
           for (std::uint32_t it = delta_->rowsplit_item_begin[r];
                it < delta_->rowsplit_item_begin[r + 1]; ++it) {
             const RowSplitPlan::WorkItem& item = rowsplit_plan_.items[it];
-            const Acc total = native_row_product(values, col_idx, x.data(),
-                                                 item.begin, item.end);
+            const Acc total =
+                native_row_product(values, col_idx, x.data(), item.begin,
+                                   item.end, A.num_cols);
             if (item.partial_slot < 0) {
               direct = total;
             } else {

@@ -89,7 +89,7 @@ void native_vector_spmv(const sparse::CsrMatrix<MatV, IdxT>& A,
     for (std::uint64_t r = part.boundaries[p]; r < part.boundaries[p + 1];
          ++r) {
       yp[r] = native_row_product(values, col_idx, xp, row_ptr[r],
-                                 row_ptr[r + 1]);
+                                 row_ptr[r + 1], A.num_cols);
     }
   });
 }
@@ -190,7 +190,8 @@ void native_adaptive_spmv(const sparse::CsrMatrix<MatV, IdxT>& A,
   exec.run(part.parts(), [&](std::size_t p) {
     for (std::uint64_t i = part.boundaries[p]; i < part.boundaries[p + 1];
          ++i) {
-      native_adaptive_item(row_ptr, values, col_idx, xp, yp, items[i]);
+      native_adaptive_item(row_ptr, values, col_idx, xp, A.num_cols, yp,
+                           items[i]);
     }
   });
 }
@@ -223,7 +224,8 @@ void native_rowsplit_spmv(const sparse::CsrMatrix<MatV, IdxT>& A,
   exec.run(part1.parts(), [&](std::size_t p) {
     for (std::uint64_t i = part1.boundaries[p]; i < part1.boundaries[p + 1];
          ++i) {
-      native_rowsplit_item(values, col_idx, xp, yp, pp, items[i]);
+      native_rowsplit_item(values, col_idx, xp, A.num_cols, yp, pp,
+                           items[i]);
     }
   });
 

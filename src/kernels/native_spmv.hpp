@@ -61,6 +61,7 @@ __attribute__((target("f16c"))) inline void half_chunk_to_float_f16c(
 }
 
 inline const bool kHaveF16c = __builtin_cpu_supports("f16c") != 0;
+inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
 
 /// Convert a chunk of matrix halves to binary32 (exact widening), using the
@@ -113,11 +114,13 @@ inline Acc native_reduce_tail(Acc* tmp, unsigned n) {
 /// One vector-kernel row: lanes stride the row's non-zeros in chunks of 32
 /// (vector_csr.hpp's accumulation loop), then the fixed butterfly reduction.
 /// Rows of <= 32 non-zeros (the dose-matrix common case, Figure 2) skip the
-/// 32-lane zero-fill and reduce only the lanes that were written.
+/// 32-lane zero-fill and reduce only the lanes that were written.  This is
+/// the portable body of native_row_product and the oracle its SIMD body is
+/// tested against.
 template <typename Acc, typename MatV, typename IdxT>
-inline Acc native_row_product(const MatV* values, const IdxT* col_idx,
-                              const Acc* x, std::uint64_t start,
-                              std::uint64_t end) {
+inline Acc native_row_product_scalar(const MatV* values, const IdxT* col_idx,
+                                     const Acc* x, std::uint64_t start,
+                                     std::uint64_t end) {
   const std::uint64_t nnz = end - start;
   if (nnz <= gpusim::kWarpSize) {
     if (nnz == 0) {
@@ -154,6 +157,144 @@ inline Acc native_row_product(const MatV* values, const IdxT* col_idx,
   // All 32 lanes are live, so warp_reduce_add's masked zero-fill copy is an
   // identity; run its tree in place.
   return native_reduce_tail(&acc[0], gpusim::kWarpSize);
+}
+
+#if defined(PD_NATIVE_F16C_DISPATCH)
+/// Lanes [8g, 8g+8) of one 32-lane chunk: 8 halves widened (VCVTPH2PS, then
+/// VCVTPS2PD — both exact) and multiplied by the gathered x entries, then
+/// added into the lanes' accumulators lo (lanes 8g..8g+3) and hi (8g+4..+7).
+/// mul then add, never an FMA: each lane rounds exactly like the scalar
+/// `acc + conv * x`.  `live_lo` / `live_hi` mask the gathers of a tail chunk;
+/// a masked lane reads no x and gets +0.0 from the gather's source operand.
+__attribute__((target("avx2,f16c"), always_inline)) inline void
+row_lanes8_madd_avx2(__m256d& lo, __m256d& hi, const pd::Half* v,
+                     const std::uint32_t* c, const double* x, __m256d live_lo,
+                     __m256d live_hi) {
+  const __m256 f =
+      _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(v)));
+  const __m256d v_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(f));
+  const __m256d v_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(f, 1));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d x_lo = _mm256_mask_i32gather_pd(
+      zero, x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(c)), live_lo,
+      8);
+  const __m256d x_hi = _mm256_mask_i32gather_pd(
+      zero, x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + 4)),
+      live_hi, 8);
+  lo = _mm256_add_pd(lo, _mm256_mul_pd(v_lo, x_lo));
+  hi = _mm256_add_pd(hi, _mm256_mul_pd(v_hi, x_hi));
+}
+
+/// native_row_product for the default storage (half values, double
+/// accumulation, 32-bit column indices) with the warp's 32 lanes held as 8
+/// AVX2 accumulators: warp lane l is element l % 4 of acc[l / 4].  Every lane
+/// performs the scalar body's exact IEEE operation sequence — the same exact
+/// widenings, the same mul-then-add per stride, the same butterfly — so the
+/// result is bitwise native_row_product_scalar's.  Lanes past the row's end
+/// (the tail chunk, and all of a short row beyond its nnz) stay exactly +0.0,
+/// which is the scalar body's short-row argument (header comment) run the
+/// other way: adding those +0.0 lanes is a bitwise no-op.  The tail chunk is
+/// staged through zero-padded copies, so nothing past the row's last element
+/// is read.  Column indices must fit VGATHERDPD's signed 32-bit index
+/// (native_row_product only dispatches here when they do).
+__attribute__((target("avx2,f16c"))) inline double native_row_product_avx2(
+    const pd::Half* values, const std::uint32_t* col_idx, const double* x,
+    std::uint64_t start, std::uint64_t end) {
+  const std::uint64_t nnz = end - start;
+  if (nnz == 0) {
+    return 0.0;
+  }
+  __m256d acc[8];
+  for (__m256d& a : acc) {
+    a = _mm256_setzero_pd();
+  }
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  const pd::Half* v = values + start;
+  const std::uint32_t* c = col_idx + start;
+  const std::uint64_t full = nnz / gpusim::kWarpSize;
+  for (std::uint64_t chunk = 0; chunk < full; ++chunk) {
+    for (unsigned g = 0; g < 4; ++g) {
+      row_lanes8_madd_avx2(acc[2 * g], acc[2 * g + 1], v + 8 * g, c + 8 * g,
+                           x, all, all);
+    }
+    v += gpusim::kWarpSize;
+    c += gpusim::kWarpSize;
+  }
+  const auto rem = static_cast<unsigned>(nnz % gpusim::kWarpSize);
+  if (rem != 0) {
+    pd::Half vt[gpusim::kWarpSize] = {};
+    std::uint32_t ct[gpusim::kWarpSize] = {};
+    std::copy(v, v + rem, vt);
+    std::copy(c, c + rem, ct);
+    // Lane l is live while l < rem; groups wholly past the end are skipped.
+    const __m256i live = _mm256_set1_epi64x(rem);
+    for (unsigned g = 0; 8 * g < rem; ++g) {
+      const __m256i lo = _mm256_setr_epi64x(8 * g, 8 * g + 1, 8 * g + 2,
+                                            8 * g + 3);
+      const __m256i hi = _mm256_add_epi64(lo, _mm256_set1_epi64x(4));
+      row_lanes8_madd_avx2(acc[2 * g], acc[2 * g + 1], vt + 8 * g, ct + 8 * g,
+                           x, _mm256_castsi256_pd(_mm256_cmpgt_epi64(live, lo)),
+                           _mm256_castsi256_pd(_mm256_cmpgt_epi64(live, hi)));
+    }
+  }
+  // warp_reduce_add: offset 16 (lanes 0..15 += 16..31), 8, 4 as whole-vector
+  // adds, offset 2 as the 128-bit fold, offset 1 as the final scalar add.
+  for (unsigned k = 0; k < 4; ++k) {
+    acc[k] = _mm256_add_pd(acc[k], acc[k + 4]);
+  }
+  acc[0] = _mm256_add_pd(acc[0], acc[2]);
+  acc[1] = _mm256_add_pd(acc[1], acc[3]);
+  acc[0] = _mm256_add_pd(acc[0], acc[1]);
+  const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc[0]),
+                                  _mm256_extractf128_pd(acc[0], 1));
+  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+}
+
+#endif  // PD_NATIVE_F16C_DISPATCH
+
+/// The storage native_row_product_avx2 serves: half values, double
+/// accumulation, 32-bit column indices.
+template <typename Acc, typename MatV, typename IdxT>
+inline constexpr bool kSimdRowStorage = std::is_same_v<Acc, double> &&
+                                        std::is_same_v<MatV, pd::Half> &&
+                                        std::is_same_v<IdxT, std::uint32_t>;
+
+/// True when native_row_product runs native_row_product_avx2 for this
+/// storage and column count: the CPU has AVX2 and F16C, and every column
+/// index of a `num_cols`-column matrix fits a signed 32-bit gather index.
+template <typename Acc, typename MatV, typename IdxT>
+inline bool native_row_simd(std::uint64_t num_cols) {
+#if defined(PD_NATIVE_F16C_DISPATCH)
+  return kSimdRowStorage<Acc, MatV, IdxT> && kHaveAvx2 && kHaveF16c &&
+         num_cols <= std::uint64_t{1} << 31;  // max index 2^31 - 1
+#else
+  (void)num_cols;
+  return false;
+#endif
+}
+
+/// The row kernel native_row_product runs for a `num_cols`-column matrix of
+/// this storage: "avx2" or "scalar".  Both give the same bits.
+template <typename Acc, typename MatV, typename IdxT>
+inline const char* native_row_kernel_name(std::uint64_t num_cols) {
+  return native_row_simd<Acc, MatV, IdxT>(num_cols) ? "avx2" : "scalar";
+}
+
+/// One vector-kernel row of a `num_cols`-column matrix (see
+/// native_row_product_scalar).  The default storage runs the AVX2 body when
+/// native_row_simd allows it; both bodies give the same bits.
+template <typename Acc, typename MatV, typename IdxT>
+inline Acc native_row_product(const MatV* values, const IdxT* col_idx,
+                              const Acc* x, std::uint64_t start,
+                              std::uint64_t end, std::uint64_t num_cols) {
+#if defined(PD_NATIVE_F16C_DISPATCH)
+  if constexpr (kSimdRowStorage<Acc, MatV, IdxT>) {
+    if (native_row_simd<Acc, MatV, IdxT>(num_cols)) {
+      return native_row_product_avx2(values, col_idx, x, start, end);
+    }
+  }
+#endif
+  return native_row_product_scalar(values, col_idx, x, start, end);
 }
 
 #if defined(PD_NATIVE_F16C_DISPATCH)
@@ -243,8 +384,6 @@ __attribute__((target("avx2"))) inline void batch_first_madd_avx2(
     a[j] = 0.0f + v * xc[j];
   }
 }
-
-inline const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
 
 /// a[j] = a[j] + v * xc[j] across the batch block (one non-zero feeding all
@@ -552,12 +691,12 @@ inline void native_segmented_inclusive_sum(Acc* out, gpusim::LaneMask heads,
 template <typename Acc, typename MatV, typename IdxT>
 inline void native_adaptive_item(const std::uint32_t* row_ptr,
                                  const MatV* values, const IdxT* col_idx,
-                                 const Acc* x, Acc* y,
+                                 const Acc* x, std::uint64_t num_cols, Acc* y,
                                  const AdaptiveWorkItem& item) {
   if (item.long_row != 0) {
     const std::uint32_t row = item.row_begin;
     y[row] = native_row_product(values, col_idx, x, row_ptr[row],
-                                row_ptr[row + 1]);
+                                row_ptr[row + 1], num_cols);
     return;
   }
   const std::uint32_t start = row_ptr[item.row_begin];
@@ -589,10 +728,11 @@ inline void native_adaptive_item(const std::uint32_t* row_ptr,
 /// over [item.begin, item.end).
 template <typename Acc, typename MatV, typename IdxT>
 inline void native_rowsplit_item(const MatV* values, const IdxT* col_idx,
-                                 const Acc* x, Acc* y, Acc* partials,
+                                 const Acc* x, std::uint64_t num_cols, Acc* y,
+                                 Acc* partials,
                                  const RowSplitPlan::WorkItem& item) {
   const Acc total =
-      native_row_product(values, col_idx, x, item.begin, item.end);
+      native_row_product(values, col_idx, x, item.begin, item.end, num_cols);
   if (item.partial_slot < 0) {
     y[item.row] = total;
   } else {

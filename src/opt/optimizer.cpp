@@ -6,7 +6,6 @@
 #include <deque>
 
 #include "common/error.hpp"
-#include "kernels/tuner.hpp"
 
 namespace pd::opt {
 
@@ -116,19 +115,14 @@ OptimizerResult PlanOptimizer::optimize() {
   std::vector<double> gx = spot_gradient(dose);
 
   // Warm-start state: switch to bitwise delta solves once the changed
-  // fraction of accepted steps stays below the breakeven threshold.
-  double delta_breakeven = config_.delta_changed_frac;
-  if (delta_breakeven < 0.0) {
-    const sparse::MatrixStats& st = forward_.stats();
-    const std::uint64_t value_bytes =
-        config_.mode == kernels::DoseEngine::Mode::kHalfDouble
-            ? 2
-            : (config_.mode == kernels::DoseEngine::Mode::kSingle ? 4 : 8);
-    delta_breakeven =
-        kernels::delta_threshold(st.csr_bytes(value_bytes, 4), st.nnz,
-                                 st.cols)
-            .breakeven_changed_frac;
-  }
+  // fraction of accepted steps stays below the replay ceiling.  The replay
+  // re-walks every row a changed spot touches, and a spot touches many rows,
+  // so its cost is not proportional to the changed fraction (Liver 1: 95% of
+  // the nnz at 1% changed spots).  Each fallback to the full compute halves
+  // the ceiling below that step's fraction, which bounds the probes a matrix
+  // whose replays never pay can waste.
+  double replay_ceiling =
+      config_.delta_changed_frac < 0.0 ? 1.0 : config_.delta_changed_frac;
   bool warm = false;
   unsigned stable = 0;
 
@@ -181,9 +175,16 @@ OptimizerResult PlanOptimizer::optimize() {
       // which branch runs never changes the trajectory — only its cost.
       const double frac = changed_fraction(x, x_new);
       std::vector<double> dose_new;
-      if (config_.delta_warm_start && warm && frac < delta_breakeven) {
-        dose_new = forward_.compute_delta(dose, x, x_new);
+      if (config_.delta_warm_start && warm && frac < replay_ceiling) {
+        dose_new = dose;
+        const kernels::DoseEngine::DeltaRun run = forward_.apply_delta(
+            dose_new, x, x_new, kernels::DoseEngine::DeltaMode::kBitwise);
         ++result.delta_spmv_count;
+        if (run.full_compute) {
+          replay_ceiling = frac / 2.0;
+        } else {
+          ++result.delta_replay_count;
+        }
       } else {
         dose_new = forward_.compute(x_new);
       }
@@ -191,7 +192,7 @@ OptimizerResult PlanOptimizer::optimize() {
       const double f_new = objective_.value(dose_new);
       if (f_new < fx) {
         if (config_.delta_warm_start && !warm) {
-          if (frac < delta_breakeven) {
+          if (frac < replay_ceiling) {
             if (++stable >= config_.delta_stable_iters) {
               warm = true;
               result.warm_start_iteration = it + 1;

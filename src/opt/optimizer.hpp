@@ -53,14 +53,18 @@ struct OptimizerConfig {
   /// Warm-start delta solves (docs/delta_engine.md): the non-negativity
   /// projection pins spots at zero, so the changed-weight fraction between
   /// iterates shrinks as the active set stabilizes.  Once it has stayed
-  /// below the breakeven threshold for `delta_stable_iters` consecutive
-  /// accepted iterations, forward products switch from full compute to
-  /// bitwise compute_delta — bitwise identical to the full compute, so the
+  /// below the replay ceiling for `delta_stable_iters` consecutive accepted
+  /// iterations, forward products switch from full compute to the bitwise
+  /// delta replay — bitwise identical to the full compute, so the
   /// optimization trajectory is unchanged and default-on is safe.  Trials
-  /// whose changed fraction exceeds the threshold still run full computes.
+  /// whose changed fraction is not below the ceiling run full computes.
+  /// The ceiling follows the replay's own cost: a replay whose touched rows
+  /// would stream a full product's bytes falls back to the full compute
+  /// (DoseEngine::DeltaRun::full_compute), and each fallback halves the
+  /// ceiling below that step's changed fraction.
   bool delta_warm_start = true;
-  /// Changed-fraction breakeven; < 0 derives it from streamed-bytes
-  /// arithmetic (kernels::delta_threshold on the stored matrix).
+  /// Initial replay ceiling (changed fraction); < 0 starts at 1, leaving
+  /// the ceiling entirely to the fallbacks.
   double delta_changed_frac = -1.0;
   unsigned delta_stable_iters = 2;
 };
@@ -80,11 +84,14 @@ struct OptimizerResult {
   /// precision conversions) before the first iteration, plus any engines
   /// built lazily during the run.
   double setup_seconds = 0.0;
-  /// Forward products requested through bitwise compute_delta after warm
-  /// start (a subset of spmv_count; 0 when the warm start never engaged).
-  /// This includes the calls where apply_delta found the row replay no
-  /// cheaper and ran the full compute instead (DeltaRun::full_compute).
+  /// Forward products requested through the bitwise delta after warm start
+  /// (a subset of spmv_count; 0 when the warm start never engaged).  This
+  /// includes the calls where apply_delta found the row replay no cheaper
+  /// and ran the full compute instead (DeltaRun::full_compute).
   std::uint64_t delta_spmv_count = 0;
+  /// The delta_spmv_count calls that replayed only the touched rows; the
+  /// rest fell back to the full compute.
+  std::uint64_t delta_replay_count = 0;
   /// 1-based accepted iteration at which delta solves switched on
   /// (0 = never).
   unsigned warm_start_iteration = 0;

@@ -65,18 +65,40 @@ inline RowPartition balanced_cost_partition(std::span<const std::uint64_t> costs
   return out;
 }
 
-/// Greedy contiguous partition targeting nnz/parts per block.  Parts never
-/// split a row (rows are the unit of SpMV work and of the dose grid), so the
-/// imbalance is bounded by the largest row.
+/// Contiguous partition targeting nnz/parts per block.  Parts never split a
+/// row (rows are the unit of SpMV work and of the dose grid), so the
+/// imbalance is bounded by the largest row.  row_ptr already holds the
+/// nnz prefix sums, so each boundary is a binary search for the first row
+/// whose prefix reaches p·nnz/parts — the cut balanced_cost_partition's
+/// greedy walk makes (its carried error telescopes to that target) — with
+/// no per-call O(rows) pass or allocation; every part keeps at least one row.
 template <typename V, typename I>
 RowPartition balanced_row_partition(const CsrMatrix<V, I>& m,
                                     std::size_t parts) {
+  PD_CHECK_MSG(parts > 0, "partition: need at least one part");
   PD_CHECK_MSG(parts <= m.num_rows, "partition: more parts than rows");
-  std::vector<std::uint64_t> costs(m.num_rows);
-  for (std::uint64_t r = 0; r < m.num_rows; ++r) {
-    costs[r] = m.row_nnz(r);
+  RowPartition out;
+  out.boundaries.reserve(parts + 1);
+  out.boundaries.push_back(0);
+  const std::uint64_t total = m.nnz();
+  const auto first = m.row_ptr.begin();
+  for (std::size_t p = 1; p < parts; ++p) {
+    const std::uint64_t lo = out.boundaries.back();
+    const std::uint64_t max_r = m.num_rows - (parts - p);
+    // prefix · parts < p · total, exact in 128 bits.
+    const auto below = [&](std::uint32_t prefix) {
+      return static_cast<unsigned __int128>(prefix) * parts <
+             static_cast<unsigned __int128>(p) * total;
+    };
+    const std::uint64_t r = static_cast<std::uint64_t>(
+        std::partition_point(first + static_cast<std::ptrdiff_t>(lo),
+                             first + static_cast<std::ptrdiff_t>(max_r),
+                             below) -
+        first);
+    out.boundaries.push_back(std::max<std::uint64_t>(r, lo + 1));
   }
-  return balanced_cost_partition(costs, parts);
+  out.boundaries.push_back(m.num_rows);
+  return out;
 }
 
 /// Extract rows [row_begin, row_end) as a standalone matrix (same columns).

@@ -803,5 +803,59 @@ TEST(DeltaOptimizer, WarmStartKeepsTheTrajectoryBitwise) {
   EXPECT_EQ(r_on.spmv_count, r_off.spmv_count);
 }
 
+TEST(DeltaOptimizer, SmallStepsReplayInsideTheLoop) {
+  // Default warm-start gate on a plan whose active set shrinks to a few
+  // spots.  Each spot's footprint is a short run of rows (spots overlap
+  // their neighbours, as pencil beams do), the goals ask for dose only in
+  // two spots' footprints and for none elsewhere, so the projection pins
+  // every other spot at zero and the late steps change a few percent of the
+  // weights.  A replay of such a step re-walks only a few footprints, so
+  // some line-search products must be served by a replay (not a
+  // full-compute fallback) — with every bit of the trajectory equal to the
+  // warm-start-off run.
+  constexpr std::uint32_t kSpots = 100;
+  constexpr std::uint32_t kRowsPerSpot = 10;
+  Rng rng(77);
+  sparse::CooMatrix<double> coo;
+  coo.num_rows = kSpots * kRowsPerSpot + 5;
+  coo.num_cols = kSpots;
+  for (std::uint32_t s = 0; s < kSpots; ++s) {
+    for (std::uint32_t r = 0; r < kRowsPerSpot + 5; ++r) {
+      coo.entries.push_back({s * kRowsPerSpot + r, s, rng.uniform(0.1, 1.0)});
+    }
+  }
+  const sparse::CsrF64 D = sparse::coo_to_csr(coo);
+  opt::ObjectiveTerm target{opt::ObjectiveTerm::Type::kUniformDose, {}, 1.0,
+                            1.0};
+  opt::ObjectiveTerm rest{opt::ObjectiveTerm::Type::kMaxDose, {}, 0.0, 50.0};
+  for (std::uint64_t r = 0; r < D.num_rows; ++r) {
+    const bool in_target = r >= 50 * kRowsPerSpot && r < 52 * kRowsPerSpot;
+    (in_target ? target : rest).voxels.push_back(r);
+  }
+  opt::DoseObjective objective;
+  objective.add_term(target);
+  objective.add_term(rest);
+
+  opt::OptimizerConfig on;
+  on.max_iterations = 40;
+  opt::OptimizerConfig off = on;
+  off.delta_warm_start = false;
+
+  opt::PlanOptimizer opt_on(D, objective, gpusim::make_a100(), on);
+  opt::PlanOptimizer opt_off(D, objective, gpusim::make_a100(), off);
+  const opt::OptimizerResult r_on = opt_on.optimize();
+  const opt::OptimizerResult r_off = opt_off.optimize();
+
+  EXPECT_EQ(r_on.iterations, r_off.iterations);
+  EXPECT_EQ(r_on.objective_history, r_off.objective_history);
+  expect_bitwise(r_on.spot_weights, r_off.spot_weights, "weights");
+  expect_bitwise(r_on.dose, r_off.dose, "dose");
+  EXPECT_EQ(r_on.spmv_count, r_off.spmv_count);
+  EXPECT_EQ(r_off.delta_replay_count, 0u);
+  EXPECT_GT(r_on.warm_start_iteration, 0u);
+  EXPECT_GE(r_on.delta_replay_count, 1u);
+  EXPECT_LE(r_on.delta_replay_count, r_on.delta_spmv_count);
+}
+
 }  // namespace
 }  // namespace pd::kernels

@@ -8,14 +8,18 @@
 //
 // Also covered: compute_batch vs looped compute bitwise equality on both
 // backends (the gpusim vector path chunks through run_vector_csr_multi, the
-// native path does one batched traversal), and the counter-access error when
-// only the native backend has run.
+// native path does one batched traversal), the counter-access error when
+// only the native backend has run, and (NativeRowKernel) the AVX2 row body
+// against the scalar row body on chunk-boundary lengths and IEEE specials.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +27,7 @@
 #include "gpusim/launch.hpp"
 #include "kernels/dose_engine.hpp"
 #include "kernels/multivector_csr.hpp"
+#include "kernels/native_spmv.hpp"
 #include "kernels/vector_csr.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
@@ -241,6 +246,187 @@ TEST(NativeBackend, NativeOnlyEngineNeverAllocatesTheSimulatedL2) {
   EXPECT_EQ(a.l2_read_hits, e.l2_read_hits);
   EXPECT_EQ(a.l2_write_hits, e.l2_write_hits);
   EXPECT_EQ(a.sectors_requested, e.sectors_requested);
+}
+
+// --- SIMD row kernel ---------------------------------------------------------
+// native_row_product_avx2 and native_row_product_scalar called directly: the
+// two bodies must agree bit for bit on every row length around the 32-lane
+// chunk boundaries and on every IEEE special a half matrix or a weight vector
+// can hold.  Each row is packed into its own exactly sized arrays, so its
+// tail ends at the last element of `values` / `col_idx` and any read past it
+// is a heap overflow under the sanitizer build.  Within one row at most one
+// NaN payload can arise: which of two NaN operands x86 propagates depends on
+// operand order, which the scalar code leaves to the compiler.
+
+struct PackedRow {
+  std::vector<pd::Half> values;
+  std::vector<std::uint32_t> col_idx;
+};
+
+bool have_simd_row_kernel(std::uint64_t num_cols) {
+  return native_row_simd<double, pd::Half, std::uint32_t>(num_cols);
+}
+
+/// Random row of `len` entries in exactly sized arrays: values drawn from
+/// `value_pool`, columns uniform over x.
+PackedRow random_row(Rng& rng, std::size_t len,
+                     const std::vector<pd::Half>& value_pool,
+                     std::size_t num_cols) {
+  std::vector<pd::Half> v(len);
+  std::vector<std::uint32_t> c(len);
+  for (std::size_t k = 0; k < len; ++k) {
+    v[k] = value_pool[rng.uniform_index(value_pool.size())];
+    c[k] = static_cast<std::uint32_t>(rng.uniform_index(num_cols));
+  }
+  return {std::move(v), std::move(c)};
+}
+
+/// Scalar oracle vs the dispatcher, and (when the CPU has it) vs the AVX2
+/// body, on the row's full range.
+void expect_row_bodies_agree(const PackedRow& row, const std::vector<double>& x,
+                             const std::string& what) {
+  const std::uint64_t len = row.values.size();
+  const double scalar = native_row_product_scalar(
+      row.values.data(), row.col_idx.data(), x.data(), 0, len);
+  const double dispatched = native_row_product(
+      row.values.data(), row.col_idx.data(), x.data(), 0, len, x.size());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dispatched),
+            std::bit_cast<std::uint64_t>(scalar))
+      << what << " len " << len << ": " << dispatched << " vs " << scalar;
+#if defined(PD_NATIVE_F16C_DISPATCH)
+  if (have_simd_row_kernel(x.size())) {
+    const double simd = native_row_product_avx2(
+        row.values.data(), row.col_idx.data(), x.data(), 0, len);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(simd),
+              std::bit_cast<std::uint64_t>(scalar))
+        << what << " len " << len << ": " << simd << " vs " << scalar;
+  }
+#endif
+}
+
+std::vector<std::size_t> chunk_boundary_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 130; ++n) {
+    lens.push_back(n);
+  }
+  for (const std::size_t n : {255, 256, 257, 512, 513}) {
+    lens.push_back(n);
+  }
+  return lens;
+}
+
+std::vector<pd::Half> normal_halves(Rng& rng, std::size_t n) {
+  std::vector<pd::Half> pool(n);
+  for (pd::Half& h : pool) {
+    h = pd::Half(rng.uniform(-4.0, 4.0));
+  }
+  return pool;
+}
+
+std::vector<double> doubles_from_bits(std::initializer_list<std::uint64_t> b) {
+  std::vector<double> out;
+  for (const std::uint64_t bits : b) {
+    out.push_back(std::bit_cast<double>(bits));
+  }
+  return out;
+}
+
+constexpr std::size_t kRowKernelCols = 700;
+
+TEST(NativeRowKernel, ReportsTheBodyItRuns) {
+  const bool simd = have_simd_row_kernel(kRowKernelCols);
+  EXPECT_STREQ(
+      (native_row_kernel_name<double, pd::Half, std::uint32_t>(kRowKernelCols)),
+      simd ? "avx2" : "scalar");
+  // Only the default storage has a SIMD body, and only for column indices
+  // that fit a signed 32-bit gather index.
+  EXPECT_FALSE((native_row_simd<float, pd::Half, std::uint32_t>(100)));
+  EXPECT_FALSE((native_row_simd<double, double, std::uint32_t>(100)));
+  EXPECT_FALSE((native_row_simd<double, pd::Half, std::uint32_t>(
+      (std::uint64_t{1} << 31) + 1)));
+  EXPECT_EQ((native_row_simd<double, pd::Half, std::uint32_t>(
+                std::uint64_t{1} << 31)),
+            simd);
+}
+
+TEST(NativeRowKernel, ChunkBoundaryLengthsMatchScalarBitwise) {
+  Rng rng(15);
+  const std::vector<double> x =
+      sparse::random_vector(rng, kRowKernelCols, -2.0, 2.0);
+  const std::vector<pd::Half> pool = normal_halves(rng, 64);
+  for (const std::size_t len : chunk_boundary_lengths()) {
+    for (int rep = 0; rep < 3; ++rep) {
+      expect_row_bodies_agree(random_row(rng, len, pool, kRowKernelCols), x,
+                              "normal values");
+    }
+  }
+}
+
+TEST(NativeRowKernel, HalfAndWeightSpecialsMatchScalarBitwise) {
+  // ±0, subnormals, max finite and ±Inf on both sides: 0·Inf and Inf−Inf
+  // only ever produce the one default NaN.
+  Rng rng(16);
+  const std::vector<pd::Half> pool{
+      pd::Half::zero(),       -pd::Half::zero(),
+      pd::Half::denorm_min(), pd::Half::from_bits(0x83ff),  // -subnormal
+      pd::Half::max(),        -pd::Half::max(),
+      pd::Half::infinity(),   -pd::Half::infinity(),
+      pd::Half(1.5),          pd::Half(-0.375)};
+  // x[0] = +Inf: a tail lane that read x through its zero-padded index
+  // would turn into NaN.
+  std::vector<double> x = doubles_from_bits(
+      {0x7ff0000000000000ULL, 0x8000000000000000ULL, 0x0000000000000001ULL,
+       0x800fffffffffffffULL, 0xfff0000000000000ULL, 0x7fefffffffffffffULL});
+  while (x.size() < kRowKernelCols) {
+    x.push_back(rng.uniform(-3.0, 3.0));
+  }
+  for (const std::size_t len : chunk_boundary_lengths()) {
+    expect_row_bodies_agree(random_row(rng, len, pool, x.size()), x,
+                            "specials");
+  }
+  // Rows that read only the specials (columns 0..5).
+  for (const std::size_t len : chunk_boundary_lengths()) {
+    expect_row_bodies_agree(random_row(rng, len, pool, 6), x,
+                            "specials only");
+  }
+}
+
+TEST(NativeRowKernel, HalfNanPayloadsMatchScalarBitwise) {
+  Rng rng(17);
+  const std::vector<double> x =
+      sparse::random_vector(rng, kRowKernelCols, 0.25, 2.0);
+  // A signaling NaN (quieted on widening) and a negative quiet NaN, each
+  // with a payload; one per row.
+  for (const std::uint16_t nan : {std::uint16_t{0x7d23}, std::uint16_t{0xfe11}}) {
+    const std::vector<pd::Half> pool{
+        pd::Half::from_bits(nan), pd::Half::zero(),      -pd::Half::zero(),
+        pd::Half::denorm_min(),   pd::Half::max(),       pd::Half(0.5),
+        pd::Half(-1.25),          pd::Half(3.0)};
+    for (const std::size_t len : chunk_boundary_lengths()) {
+      expect_row_bodies_agree(random_row(rng, len, pool, x.size()), x,
+                              "half NaN");
+    }
+  }
+}
+
+TEST(NativeRowKernel, WeightNanPayloadsMatchScalarBitwise) {
+  Rng rng(18);
+  const std::vector<pd::Half> pool{pd::Half::zero(),       -pd::Half::zero(),
+                                   pd::Half::denorm_min(), pd::Half::max(),
+                                   pd::Half(0.5),          pd::Half(-2.0)};
+  for (const std::uint64_t nan :
+       {0x7ff0000000000123ULL, 0xfff8000000000abcULL}) {
+    std::vector<double> x = doubles_from_bits(
+        {nan, 0x8000000000000000ULL, 0x0000000000000001ULL,
+         0x800fffffffffffffULL});
+    while (x.size() < 40) {
+      x.push_back(rng.uniform(-2.0, 2.0));
+    }
+    for (const std::size_t len : chunk_boundary_lengths()) {
+      expect_row_bodies_agree(random_row(rng, len, pool, x.size()), x,
+                              "weight NaN");
+    }
+  }
 }
 
 }  // namespace

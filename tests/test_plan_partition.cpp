@@ -132,6 +132,48 @@ TEST(RowPartition, BalancedWithinLargestRow) {
   EXPECT_LT(sparse::partition_imbalance(m, p), 1.5);  // and practically tight
 }
 
+TEST(RowPartition, PropertiesHoldOnRandomMatrices) {
+  // Contiguous, no empty parts, and no part holds more than its ideal share
+  // plus the largest row — across structures (including mostly-empty rows
+  // and an all-empty matrix) and every part count up to the row count.
+  Rng rng(14);
+  std::vector<sparse::CsrF64> matrices;
+  for (const auto structure :
+       {sparse::RandomStructure::kUniform, sparse::RandomStructure::kSkewed,
+        sparse::RandomStructure::kManyEmpty, sparse::RandomStructure::kBanded}) {
+    for (const std::uint64_t rows : {1u, 2u, 7u, 64u, 333u}) {
+      matrices.push_back(sparse::random_csr(rng, rows, 50, 6.0, structure));
+    }
+  }
+  sparse::CsrF64 empty;
+  empty.num_rows = 12;
+  empty.num_cols = 3;
+  empty.row_ptr.assign(13, 0);
+  matrices.push_back(empty);
+  for (const auto& m : matrices) {
+    std::uint64_t max_row = 0;
+    for (std::uint64_t r = 0; r < m.num_rows; ++r) {
+      max_row = std::max(max_row, m.row_nnz(r));
+    }
+    const std::size_t max_parts =
+        std::min<std::size_t>(m.num_rows, 20);
+    for (std::size_t parts = 1; parts <= max_parts; ++parts) {
+      const auto p = sparse::balanced_row_partition(m, parts);
+      ASSERT_EQ(p.parts(), parts);
+      EXPECT_EQ(p.boundaries.front(), 0u);
+      EXPECT_EQ(p.boundaries.back(), m.num_rows);
+      for (std::size_t i = 0; i < parts; ++i) {
+        EXPECT_LT(p.boundaries[i], p.boundaries[i + 1]);
+        const std::uint64_t nnz =
+            m.row_ptr[p.boundaries[i + 1]] - m.row_ptr[p.boundaries[i]];
+        // nnz <= nnz_total/parts + max_row, in integers.
+        EXPECT_LE(nnz * parts, m.nnz() + max_row * parts)
+            << "rows " << m.num_rows << " parts " << parts << " part " << i;
+      }
+    }
+  }
+}
+
 TEST(RowPartition, BlockSpmvReassemblesBitwise) {
   Rng rng(12);
   const auto m = sparse::random_csr(rng, 800, 80, 10.0,

@@ -412,6 +412,10 @@ int cmd_optimize(int argc, const char* const* argv) {
   pd::TextTable t({"quantity", "value"});
   t.add_row({"iterations", std::to_string(result.iterations)});
   t.add_row({"SpMV products", std::to_string(result.spmv_count)});
+  t.add_row({"warm-start deltas", std::to_string(result.delta_spmv_count) +
+                                      " (" +
+                                      std::to_string(result.delta_replay_count) +
+                                      " replayed)"});
   t.add_row({"objective", pd::fmt_sci(result.objective_history.front(), 2) +
                               " -> " +
                               pd::fmt_sci(result.objective_history.back(), 2)});
