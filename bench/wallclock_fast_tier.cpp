@@ -176,16 +176,17 @@ int main() {
 
     // Quantized SELL at the model-winning quantized geometry (deterministic:
     // the byte model is exact, so this never depends on timing noise).
-    unsigned qc = 8;
-    std::uint32_t qsigma = 1024;
+    pd::kernels::TunedConfig quantized;
+    quantized.format = DoseEngine::FastFormat::kSellCsQ;
+    quantized.sell_c = 8;
     for (const pd::kernels::TuneCandidate& cand : tuned.candidates) {
       if (cand.format == DoseEngine::FastFormat::kSellCsQ) {
-        qc = cand.sell_c;
-        qsigma = cand.sell_sigma;
+        quantized.sell_c = cand.sell_c;
+        quantized.sell_sigma = cand.sell_sigma;
         break;  // candidates are model-sorted: first quantized is its best
       }
     }
-    engine.set_fast_sell_config(qc, qsigma);
+    pd::kernels::apply_tuned(engine, quantized);
     engine.set_tier(DoseEngine::Tier::kFast, DoseEngine::FastFormat::kSellCsQ);
     r.sellq_bytes =
         pd::kernels::sellcs_q_streamed_bytes(engine.fast_sellq_matrix());

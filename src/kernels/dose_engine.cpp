@@ -9,6 +9,7 @@
 #include "kernels/multivector_csr.hpp"
 #include "kernels/rsformat_spmv.hpp"
 #include "kernels/sellcs_spmv.hpp"
+#include "kernels/tuner.hpp"
 #include "kernels/vector_csr.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/partition.hpp"
@@ -155,7 +156,10 @@ sparse::CsrF64 DoseEngine::stored_matrix_as_double() const {
       [](const auto& m) { return sparse::convert_values<double>(m); });
 }
 
-void DoseEngine::ensure_fast_storage(FastFormat format) {
+DoseEngine::FastFormat DoseEngine::ensure_fast_storage(FastFormat format) {
+  if (format == FastFormat::kAuto) {
+    format = auto_fast_format_;
+  }
   // σ == 0 ("all rows") resolves against the row count so every SELL builder
   // receives a positive multiple of C.
   const auto resolved_sigma = [&]() -> std::uint32_t {
@@ -175,7 +179,7 @@ void DoseEngine::ensure_fast_storage(FastFormat format) {
         rs_matrix_ = std::make_unique<rsformat::RsMatrix>(
             rsformat::RsMatrix::from_csr(stored_matrix_as_double()));
       }
-      return;
+      return format;
     case FastFormat::kSellCs:
       if (!sell_matrix_) {
         // Float values: exact for half-widened storage, 2^-24 relative error
@@ -185,99 +189,71 @@ void DoseEngine::ensure_fast_storage(FastFormat format) {
                 sparse::convert_values<float>(stored_matrix_as_double()),
                 fast_sell_c_, resolved_sigma()));
       }
-      return;
+      return format;
     case FastFormat::kSellCsQ:
       if (!sellq_matrix_) {
         sellq_matrix_ = std::make_unique<sparse::SellCsQMatrix>(
             sparse::csr_to_sellcs_q(stored_matrix_as_double(), fast_sell_c_,
                                     resolved_sigma()));
       }
-      return;
+      return format;
     case FastFormat::kAuto:
-      break;
+      break;  // auto_fast_format_ is always concrete (apply_tuned).
   }
-  PD_CHECK_MSG(false, "DoseEngine: kAuto must be resolved before storage");
+  throw pd::Error("DoseEngine: unresolved fast format");
 }
 
 void DoseEngine::set_tier(Tier tier, FastFormat format) {
-  if (format == FastFormat::kAuto) {
-    format = auto_fast_format_;
-  }
   if (tier == Tier::kFast) {
-    ensure_fast_storage(format);
+    format = ensure_fast_storage(format);
   }
-  tier_ = tier;
-  fast_format_ = format;
+  default_spec_ = {tier, format};
 }
 
-void DoseEngine::set_fast_sell_config(std::uint32_t chunk_height,
-                                      std::uint32_t sigma) {
-  PD_CHECK_MSG(chunk_height > 0,
-               "DoseEngine: SELL chunk height must be positive");
-  PD_CHECK_MSG(sigma % chunk_height == 0,
-               "DoseEngine: SELL σ must be 0 (all rows) or a multiple of C");
-  if (chunk_height == fast_sell_c_ && sigma == fast_sell_sigma_) {
-    return;
+void apply_tuned(DoseEngine& engine, const TunedConfig& config) {
+  PD_CHECK_MSG(config.format != DoseEngine::FastFormat::kAuto,
+               "apply_tuned: kAuto must resolve to a concrete format");
+  PD_CHECK_MSG(config.sell_c > 0,
+               "apply_tuned: SELL chunk height must be positive");
+  PD_CHECK_MSG(config.sell_sigma % config.sell_c == 0,
+               "apply_tuned: SELL σ must be 0 (all rows) or a multiple of C");
+  if (config.sell_c != engine.fast_sell_c_ ||
+      config.sell_sigma != engine.fast_sell_sigma_) {
+    // The next fast compute rebuilds the SELL containers with the new
+    // geometry; rsformat has no geometry knob and stays cached.
+    engine.sell_matrix_.reset();
+    engine.sellq_matrix_.reset();
   }
-  fast_sell_c_ = chunk_height;
-  fast_sell_sigma_ = sigma;
-  // Drop the cached SELL containers; the next set_tier rebuilds them with
-  // the new geometry.  rsformat has no geometry knob and stays cached.
-  sell_matrix_.reset();
-  sellq_matrix_.reset();
-  if (tier_ == Tier::kFast && fast_format_ != FastFormat::kRsFormat) {
-    ensure_fast_storage(fast_format_);
-  }
-}
-
-void DoseEngine::set_fast_threads(unsigned threads) {
-  fast_native_.set_threads(threads);
-  fast_threads_set_ = true;
-}
-
-void DoseEngine::set_auto_fast_format(FastFormat format) {
-  PD_CHECK_MSG(format != FastFormat::kAuto,
-               "DoseEngine: kAuto must resolve to a concrete format");
-  auto_fast_format_ = format;
+  engine.fast_sell_c_ = config.sell_c;
+  engine.fast_sell_sigma_ = config.sell_sigma;
+  engine.fast_threads_ = config.fast_threads;
+  engine.auto_fast_format_ = config.format;
 }
 
 const rsformat::RsMatrix& DoseEngine::fast_rs_matrix() const {
   PD_CHECK_MSG(rs_matrix_ != nullptr,
                "DoseEngine: rsformat fast storage not built "
-               "(set_tier(Tier::kFast, FastFormat::kRsFormat) first)");
+               "(no kRsFormat fast compute yet)");
   return *rs_matrix_;
 }
 
 const sparse::SellCsMatrix<float>& DoseEngine::fast_sell_matrix() const {
   PD_CHECK_MSG(sell_matrix_ != nullptr,
                "DoseEngine: SELL-C-σ fast storage not built "
-               "(set_tier(Tier::kFast, FastFormat::kSellCs) first)");
+               "(no kSellCs fast compute yet)");
   return *sell_matrix_;
 }
 
 const sparse::SellCsQMatrix& DoseEngine::fast_sellq_matrix() const {
   PD_CHECK_MSG(sellq_matrix_ != nullptr,
                "DoseEngine: quantized SELL-C-σ fast storage not built "
-               "(set_tier(Tier::kFast, FastFormat::kSellCsQ) first)");
+               "(no kSellCsQ fast compute yet)");
   return *sellq_matrix_;
 }
 
-void DoseEngine::compute_fast(std::span<const double> x, std::span<double> y) {
-  NativeExecutor& exec = fast_threads_set_ ? fast_native_ : native_;
-  switch (fast_format_) {
-    case FastFormat::kRsFormat:
-      rsformat_spmv(*rs_matrix_, x, y, exec);
-      return;
-    case FastFormat::kSellCs:
-      sellcs_spmv(*sell_matrix_, x, y, exec);
-      return;
-    case FastFormat::kSellCsQ:
-      sellcs_q_spmv(*sellq_matrix_, x, y, exec);
-      return;
-    case FastFormat::kAuto:
-      break;  // resolved by set_tier; unreachable.
-  }
-  PD_CHECK_MSG(false, "DoseEngine: unresolved fast format");
+NativeExecutor DoseEngine::fast_executor() const {
+  return native_.at_threads(
+      fast_threads_.value_or(native_.requested_threads()));
 }
 
 void DoseEngine::ensure_delta_context() {
@@ -610,6 +586,12 @@ void DoseEngine::execute_batch(const sparse::CsrMatrix<MatV>& A,
 
 std::vector<double> DoseEngine::compute(std::span<const double> spot_weights,
                                         std::uint64_t schedule_seed) {
+  return compute(spot_weights, default_spec_, schedule_seed);
+}
+
+std::vector<double> DoseEngine::compute(std::span<const double> spot_weights,
+                                        ExecSpec spec,
+                                        std::uint64_t schedule_seed) {
   // Latency lint anchor (docs/threadcheck.md): holding any pd::Mutex across
   // this call serializes the serving stack on a multi-ms kernel.
   pd::threadcheck::note_compute("DoseEngine::compute");
@@ -617,11 +599,23 @@ std::vector<double> DoseEngine::compute(std::span<const double> spot_weights,
                "DoseEngine::compute: spot weight count mismatch");
   std::vector<double> dose(stats_.rows, 0.0);
 
-  if (tier_ == Tier::kFast) {
+  if (spec.tier == Tier::kFast) {
     // Fast tier: host-native execution on the compressed container for
     // every mode (the storage was widened to double before compression, so
     // the precision mode only changed what got compressed).
-    compute_fast(spot_weights, std::span<double>(dose));
+    const std::span<double> y(dose);
+    NativeExecutor exec = fast_executor();
+    switch (ensure_fast_storage(spec.format)) {
+      case FastFormat::kRsFormat:
+        rsformat_spmv(*rs_matrix_, spot_weights, y, exec);
+        break;
+      case FastFormat::kSellCs:
+        sellcs_spmv(*sell_matrix_, spot_weights, y, exec);
+        break;
+      default:  // kSellCsQ: ensure_fast_storage never returns kAuto.
+        sellcs_q_spmv(*sellq_matrix_, spot_weights, y, exec);
+        break;
+    }
     return dose;
   }
 
@@ -659,6 +653,12 @@ void DoseEngine::compute_bitwise(std::span<const double> spot_weights,
 std::vector<std::vector<double>> DoseEngine::compute_batch(
     std::span<const double> weights, std::size_t batch,
     std::uint64_t schedule_seed) {
+  return compute_batch(weights, batch, default_spec_, schedule_seed);
+}
+
+std::vector<std::vector<double>> DoseEngine::compute_batch(
+    std::span<const double> weights, std::size_t batch, ExecSpec spec,
+    std::uint64_t schedule_seed) {
   pd::threadcheck::note_compute("DoseEngine::compute_batch");
   PD_CHECK_MSG(batch > 0, "DoseEngine::compute_batch: empty batch");
   PD_CHECK_MSG(weights.size() == batch * stats_.cols,
@@ -668,11 +668,12 @@ std::vector<std::vector<double>> DoseEngine::compute_batch(
     // bitwise identical per column (the compute_batch contract) and skip the
     // batched accumulator's per-nonzero inner loop over j.
     std::vector<std::vector<double>> doses(1);
-    doses[0] = compute(weights, schedule_seed);
+    doses[0] = compute(weights, spec, schedule_seed);
     return doses;
   }
-  if (tier_ == Tier::kFast) {
-    if (fast_format_ == FastFormat::kRsFormat) {
+  if (spec.tier == Tier::kFast) {
+    spec.format = ensure_fast_storage(spec.format);
+    if (spec.format == FastFormat::kRsFormat) {
       // Batched fused traversal: one decode pass of the compressed streams
       // feeds all K accumulators (kernels/rsformat_spmv.hpp).  At one thread
       // each column is bitwise identical to compute() of that column.
@@ -684,8 +685,8 @@ std::vector<std::vector<double>> DoseEngine::compute_batch(
         xs[j] = weights.data() + j * stats_.cols;
         ys[j] = doses[j].data();
       }
-      rsformat_spmv_batch(*rs_matrix_, xs, ys,
-                          fast_threads_set_ ? fast_native_ : native_);
+      NativeExecutor exec = fast_executor();
+      rsformat_spmv_batch(*rs_matrix_, xs, ys, exec);
       return doses;
     }
     // The SELL kernels keep per-row private accumulators, so a batched
@@ -693,7 +694,7 @@ std::vector<std::vector<double>> DoseEngine::compute_batch(
     // column trivially identical to compute() on that column).
     std::vector<std::vector<double>> doses(batch);
     for (std::size_t j = 0; j < batch; ++j) {
-      doses[j] = compute(weights.subspan(j * stats_.cols, stats_.cols),
+      doses[j] = compute(weights.subspan(j * stats_.cols, stats_.cols), spec,
                          schedule_seed);
     }
     return doses;

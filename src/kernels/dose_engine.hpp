@@ -17,8 +17,8 @@
 //    row partition.  No counters, but much faster wall-clock — the backend
 //    optimizer inner loops run on.
 //
-// Orthogonal to the backend axis, the engine exposes two accuracy *tiers*
-// (docs/fast_tier.md):
+// Orthogonal to the backend axis, every compute runs in one of two accuracy
+// *tiers*, chosen per call by an ExecSpec (docs/fast_tier.md):
 //  * Tier::kBitwise (default) — everything above: bitwise run-to-run and
 //    cross-backend reproducible, the differential oracle.
 //  * Tier::kFast — SpMV executed directly on compressed storage (fused
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,6 +47,8 @@
 #include "sparse/stats.hpp"
 
 namespace pd::kernels {
+
+struct TunedConfig;  // kernels/tuner.hpp
 
 class DoseEngine {
  public:
@@ -70,9 +73,16 @@ class DoseEngine {
     kSellCs,    ///< native SELL-C-σ kernel (float values, SIMD gathers).
     kSellCsQ,   ///< quantized SELL-C-σ (u16 values + per-column scale,
                 ///< empty rows compacted out; needs <= 65536 columns).
-    kAuto,      ///< resolve at set_tier time: the tuned format when a
-                ///< TunedConfig was applied (kernels/tuner.hpp), else
-                ///< kRsFormat.  fast_format() reports the resolved format.
+    kAuto,      ///< the tuned format when a TunedConfig was applied
+                ///< (apply_tuned, kernels/tuner.hpp), else kRsFormat.
+  };
+
+  /// How one compute runs: the accuracy tier and, for Tier::kFast, the
+  /// compressed container.  The engine keeps no tier state between calls
+  /// beyond the default spec that set_tier selects.
+  struct ExecSpec {
+    Tier tier = Tier::kBitwise;
+    FastFormat format = FastFormat::kAuto;
   };
 
   /// Accuracy contract for compute_delta / apply_delta
@@ -148,47 +158,23 @@ class DoseEngine {
   /// Thread count for the native backend (default 1; 0 = all hardware
   /// threads).  Bitwise-tier results are bitwise identical for every thread
   /// count; fast-tier results are run-to-run deterministic per thread count
-  /// (docs/fast_tier.md).
+  /// (docs/fast_tier.md).  Fast computes run at the tuned thread count once
+  /// apply_tuned ran, on the same thread pool.
   void set_native_threads(unsigned threads) { native_.set_threads(threads); }
   unsigned native_threads() const { return native_.requested_threads(); }
 
-  /// Select the accuracy tier for subsequent computes.  Switching to
-  /// Tier::kFast builds the compressed storage for `format` on first use
-  /// (cached thereafter; throws pd::Error for kRsFormat if the stored matrix
-  /// has negative values).  The fast tier executes host-native regardless of
-  /// backend() — there is no simulated fast kernel, so gpusim counters and
-  /// simcheck do not apply to it.  Switching tiers never perturbs the
-  /// bitwise tier's bits.
+  /// The engine's default spec: what compute(w) and compute_batch(w, k) run.
+  /// Tier::kFast builds the container for `format` now (kAuto resolves
+  /// now; throws pd::Error for kRsFormat if the stored matrix has negative
+  /// values).  Callers that share an engine pass an ExecSpec per call
+  /// instead.
   void set_tier(Tier tier, FastFormat format = FastFormat::kRsFormat);
-  Tier tier() const { return tier_; }
-  FastFormat fast_format() const { return fast_format_; }
 
-  /// SELL-C-σ geometry for subsequently built fast containers (both the
-  /// float and the quantized one).  Changing it drops the cached SELL
-  /// containers so the next set_tier rebuilds them; the rsformat container
-  /// and every bitwise-tier structure are untouched.  `sigma == 0` means
-  /// "all rows" (resolved to the row count rounded up to a multiple of C);
-  /// otherwise σ must be a positive multiple of C.
-  void set_fast_sell_config(std::uint32_t chunk_height, std::uint32_t sigma);
-  std::uint32_t fast_sell_c() const { return fast_sell_c_; }
-  std::uint32_t fast_sell_sigma() const { return fast_sell_sigma_; }
+  /// The engine's device (the simulated GPU's spec).
+  const gpusim::DeviceSpec& device() const { return gpu_->spec(); }
 
-  /// Thread count for *fast-tier* computes only (same semantics as
-  /// set_native_threads; 0 = all hardware threads).  Until called, the fast
-  /// tier follows set_native_threads.  The bitwise tier never reads this —
-  /// a tuned fast configuration cannot perturb the oracle.
-  void set_fast_threads(unsigned threads);
-  /// Back to "fast tier follows set_native_threads".
-  void clear_fast_threads() { fast_threads_set_ = false; }
-  bool fast_threads_overridden() const { return fast_threads_set_; }
-  unsigned fast_threads() const { return fast_native_.requested_threads(); }
-
-  /// What FastFormat::kAuto resolves to (kernels/tuner.hpp applies the
-  /// tuned format here).  Must be a concrete format, not kAuto.
-  void set_auto_fast_format(FastFormat format);
-  FastFormat auto_fast_format() const { return auto_fast_format_; }
-
-  /// Fast-tier storage accessors (built by set_tier; throw if absent).
+  /// Fast-tier storage accessors (built by set_tier or the first fast
+  /// compute of that format; throw if absent).
   const rsformat::RsMatrix& fast_rs_matrix() const;
   const sparse::SellCsMatrix<float>& fast_sell_matrix() const;
   const sparse::SellCsQMatrix& fast_sellq_matrix() const;
@@ -198,11 +184,21 @@ class DoseEngine {
   /// compresses and what the tolerance bound is derived against.
   sparse::CsrF64 stored_matrix_as_double() const;
 
-  /// Compute the dose vector for the given spot weights.  `schedule_seed`
+  /// Compute the dose vector for the given spot weights under the default
+  /// spec (set_tier; bitwise unless changed).  `schedule_seed`
   /// permutes GPU block scheduling; the result is independent of it (that is
   /// the reproducibility guarantee — asserted in tests).
   std::vector<double> compute(std::span<const double> spot_weights,
                               std::uint64_t schedule_seed = 0);
+
+  /// compute() under `spec`.  Tier::kFast executes host-native on the
+  /// format's compressed container whatever backend() says — there is no
+  /// simulated fast kernel, so gpusim counters and simcheck do not apply —
+  /// and builds that container on first use (cached thereafter; throws
+  /// pd::Error for kRsFormat if the stored matrix has negative values).
+  /// A fast compute never perturbs the bitwise tier's bits.
+  std::vector<double> compute(std::span<const double> spot_weights,
+                              ExecSpec spec, std::uint64_t schedule_seed = 0);
 
   /// Compute `batch` dose vectors for `batch` weight vectors stored
   /// back-to-back in `weights` (batch × num_spots doubles), traversing the
@@ -211,6 +207,11 @@ class DoseEngine {
   /// launches).  Column j is bitwise identical to compute(weights_j).
   std::vector<std::vector<double>> compute_batch(
       std::span<const double> weights, std::size_t batch,
+      std::uint64_t schedule_seed = 0);
+
+  /// compute_batch() under `spec` (see compute(w, spec)).
+  std::vector<std::vector<double>> compute_batch(
+      std::span<const double> weights, std::size_t batch, ExecSpec spec,
       std::uint64_t schedule_seed = 0);
 
   /// Update `dose` (a dose vector previously computed for `base_weights` by
@@ -279,6 +280,9 @@ class DoseEngine {
   std::uint64_t sim_cache_bytes() const { return gpu_->cache_resident_bytes(); }
 
  private:
+  /// The only writer of the fast configuration below (kernels/tuner.hpp).
+  friend void apply_tuned(DoseEngine& engine, const TunedConfig& config);
+
   /// Empty engine with the given configuration; the caller fills one
   /// storage matrix and then calls analyze_structure().
   DoseEngine(Mode mode, Family family, Backend backend,
@@ -299,8 +303,11 @@ class DoseEngine {
   void execute_batch(const sparse::CsrMatrix<MatV>& A,
                      std::span<const Acc* const> xs, std::span<Acc* const> ys,
                      std::uint64_t schedule_seed);
-  void ensure_fast_storage(FastFormat format);
-  void compute_fast(std::span<const double> x, std::span<double> y);
+  /// Resolves kAuto, builds the format's container if absent, and returns
+  /// the concrete format.
+  FastFormat ensure_fast_storage(FastFormat format);
+  /// The native executor at the fast tier's thread count.
+  NativeExecutor fast_executor() const;
   void ensure_delta_context();
   /// f(stored matrix) for the selected mode's storage.
   template <typename F>
@@ -319,11 +326,14 @@ class DoseEngine {
   sparse::CsrMatrix<pd::Half> half_matrix_;  ///< kHalfDouble storage.
   sparse::CsrF32 single_matrix_;             ///< kSingle storage.
   sparse::CsrF64 double_matrix_;             ///< kDouble storage.
-  Tier tier_ = Tier::kBitwise;
-  FastFormat fast_format_ = FastFormat::kRsFormat;
+  ExecSpec default_spec_;
+  /// Fast configuration, written only by apply_tuned: what kAuto resolves
+  /// to, the SELL-C-σ geometry of the SELL containers, and the fast thread
+  /// count (unset = follow set_native_threads).
   FastFormat auto_fast_format_ = FastFormat::kRsFormat;
   std::uint32_t fast_sell_c_ = 32;
   std::uint32_t fast_sell_sigma_ = 1024;
+  std::optional<unsigned> fast_threads_;
   /// Fast-tier containers, built lazily from stored_matrix_as_double() and
   /// cached until the geometry changes (unique_ptr doubles as "built" flag).
   std::unique_ptr<rsformat::RsMatrix> rs_matrix_;
@@ -337,10 +347,6 @@ class DoseEngine {
   std::unique_ptr<DeltaContext> delta_;
   std::unique_ptr<gpusim::Gpu> gpu_;
   NativeExecutor native_;
-  /// Fast-tier executor, used instead of native_ once set_fast_threads ran
-  /// (a tuned thread count must never leak into the bitwise tier).
-  NativeExecutor fast_native_;
-  bool fast_threads_set_ = false;
   SpmvRun last_run_;
   bool has_run_ = false;
 };

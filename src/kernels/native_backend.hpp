@@ -32,11 +32,28 @@ namespace pd::kernels {
 /// construction free of thread spawning.
 class NativeExecutor {
  public:
+  NativeExecutor() = default;
+  NativeExecutor(NativeExecutor&&) = default;
+  NativeExecutor& operator=(NativeExecutor&&) = default;
+
   void set_threads(unsigned requested) { requested_ = requested; }
   unsigned requested_threads() const { return requested_; }
   unsigned resolved_threads() const {
     return gpusim::resolve_phase1_threads(requested_);
   }
+
+  /// This executor at `requested` threads for one call, on the same pool:
+  /// how one engine runs its tiers at different thread counts.  The pool
+  /// only ever grows, so alternating counts never rebuild it.  The handle
+  /// shares the pool, so it must not run concurrently with this executor.
+  NativeExecutor at_threads(unsigned requested) const {
+    NativeExecutor handle(*this);
+    handle.requested_ = requested;
+    return handle;
+  }
+
+  /// Worker threads the pool holds (0 until a multi-threaded run).
+  unsigned pool_workers() const { return *pool_ ? (*pool_)->workers() : 0; }
 
   /// Parts to split `items` units of work into: one per thread, never more
   /// than the work items (the partitioners refuse empty parts).
@@ -56,15 +73,21 @@ class NativeExecutor {
       }
       return;
     }
-    if (!pool_ || pool_->workers() != threads - 1) {
-      pool_ = std::make_unique<gpusim::ThreadPool>(threads - 1);
+    // A larger pool than this call needs is harmless: at most `parts`
+    // threads find work, and the bits depend only on the partition.
+    std::unique_ptr<gpusim::ThreadPool>& pool = *pool_;
+    if (!pool || pool->workers() < threads - 1) {
+      pool = std::make_unique<gpusim::ThreadPool>(threads - 1);
     }
-    pool_->parallel_for(parts, fn);
+    pool->parallel_for(parts, fn);
   }
 
  private:
+  NativeExecutor(const NativeExecutor&) = default;  ///< at_threads only.
+
   unsigned requested_ = 1;
-  std::unique_ptr<gpusim::ThreadPool> pool_;
+  std::shared_ptr<std::unique_ptr<gpusim::ThreadPool>> pool_ =
+      std::make_shared<std::unique_ptr<gpusim::ThreadPool>>();
 };
 
 /// y = A·x with the vector family's arithmetic, threaded over the

@@ -51,26 +51,42 @@ std::uint32_t resolve_rows_sigma(std::uint64_t rows, std::uint32_t C) {
       up, std::numeric_limits<std::uint32_t>::max() / C * C));
 }
 
-// Switch the engine to the candidate's fast configuration (building the
-// container if needed) and return the wall-clock of the fastest of `trials`
-// products of an all-ones weight vector.  One warmup rep primes the
-// container build and the thread pool out of the measurement.
-double measure_candidate(DoseEngine& engine, const TuneCandidate& cand,
-                         unsigned trials) {
+// The configuration that runs `cand` at `threads` fast threads.
+TunedConfig config_for(const TuneCandidate& cand, unsigned threads) {
+  TunedConfig config;
+  config.format = cand.format;
   if (cand.format != FastFormat::kRsFormat) {
-    engine.set_fast_sell_config(cand.sell_c, cand.sell_sigma);
+    config.sell_c = cand.sell_c;
+    config.sell_sigma = cand.sell_sigma;
   }
-  engine.set_tier(DoseEngine::Tier::kFast, cand.format);
-  const std::vector<double> x(engine.num_spots(), 1.0);
-  (void)engine.compute(x);
+  config.fast_threads = threads;
+  config.streamed_bytes = cand.streamed_bytes;
+  return config;
+}
+
+template <typename F>
+double elapsed_us(F&& f) {
+  const auto start = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Wall-clock of the fastest of `trials` fast products of an all-ones weight
+// vector with `cand`'s container at `threads` on the tuner's own engine.
+// One warmup rep primes the container build and the thread pool out of the
+// measurement.
+double measure_candidate(DoseEngine& scratch, const TuneCandidate& cand,
+                         unsigned threads, unsigned trials) {
+  apply_tuned(scratch, config_for(cand, threads));
+  const DoseEngine::ExecSpec spec{DoseEngine::Tier::kFast, cand.format};
+  const std::vector<double> x(scratch.num_spots(), 1.0);
+  (void)scratch.compute(x, spec);
   double best_us = std::numeric_limits<double>::infinity();
   for (unsigned t = 0; t < trials; ++t) {
-    const auto start = std::chrono::steady_clock::now();
-    (void)engine.compute(x);
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    best_us = std::min(best_us, us);
+    best_us = std::min(best_us,
+                       elapsed_us([&] { (void)scratch.compute(x, spec); }));
   }
   return best_us;
 }
@@ -127,41 +143,23 @@ std::uint64_t sellcs_model_bytes(const std::vector<std::uint32_t>& row_nnz,
   return shared + slots * (4 + 4);  // f32 value + u32 col_idx
 }
 
-TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
+void rank_candidates(std::vector<TuneCandidate>& candidates) {
+  std::sort(candidates.begin(), candidates.end(), model_order);
+  // Duplicate (format, C, σ) pairs can arise from σ snapping; keep the first.
+  candidates.erase(
+      std::unique(candidates.begin(), candidates.end(),
+                  [](const TuneCandidate& a, const TuneCandidate& b) {
+                    return a.format == b.format && a.sell_c == b.sell_c &&
+                           a.sell_sigma == b.sell_sigma;
+                  }),
+      candidates.end());
+}
+
+TunedConfig autotune_fast_tier(const DoseEngine& engine,
+                               const TuneOptions& opts) {
   PD_CHECK_MSG(!opts.chunk_heights.empty() && !opts.sort_windows.empty(),
                "autotune_fast_tier: empty candidate grid");
-  // Snapshot fast-tier state; restored on every exit path.  The bitwise tier
-  // owns none of this, so the tuner cannot perturb the oracle.
-  struct Restore {
-    DoseEngine& engine;
-    DoseEngine::Tier tier;
-    FastFormat format;
-    std::uint32_t sell_c, sell_sigma;
-    bool fast_threads_set;
-    unsigned fast_threads;
-    ~Restore() {
-      try {
-        engine.set_fast_sell_config(sell_c, sell_sigma);
-        if (fast_threads_set) {
-          engine.set_fast_threads(fast_threads);
-        } else {
-          engine.clear_fast_threads();
-        }
-        engine.set_tier(tier, format);
-      } catch (...) {
-        // Best-effort: restoring must not turn an in-flight exception into
-        // std::terminate.
-      }
-    }
-  } restore{engine,
-            engine.tier(),
-            engine.fast_format(),
-            engine.fast_sell_c(),
-            engine.fast_sell_sigma(),
-            engine.fast_threads_overridden(),
-            engine.fast_threads()};
-
-  const sparse::CsrF64 wide = engine.stored_matrix_as_double();
+  sparse::CsrF64 wide = engine.stored_matrix_as_double();
   const std::uint64_t rows = wide.num_rows;
   bool nonneg = true;
   for (const double v : wide.values) {
@@ -178,18 +176,15 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
   }
   const bool sellq_ok = nonneg && wide.num_cols <= (std::uint64_t{1} << 16);
 
-  TunedConfig config;
-  config.trials = opts.trials;
-
   // --- Stage 1: deterministic streamed-bytes model over the full grid. ---
   std::vector<TuneCandidate> candidates;
   if (nonneg) {
     // rsformat has no geometry knob; its exact bytes need the real container
-    // (escape count), which set_tier builds once and the engine keeps.
-    engine.set_tier(DoseEngine::Tier::kFast, FastFormat::kRsFormat);
+    // (escape count), built here and dropped.
     TuneCandidate rs;
     rs.format = FastFormat::kRsFormat;
-    rs.streamed_bytes = rsformat_streamed_bytes(engine.fast_rs_matrix());
+    rs.streamed_bytes =
+        rsformat_streamed_bytes(rsformat::RsMatrix::from_csr(wide));
     candidates.push_back(rs);
   }
   for (const std::uint32_t C : opts.chunk_heights) {
@@ -218,55 +213,48 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
   }
   PD_CHECK_MSG(!candidates.empty(),
                "autotune_fast_tier: no viable fast format for this matrix");
-  std::sort(candidates.begin(), candidates.end(), model_order);
-  // Duplicate (format, C, σ) pairs can arise from σ snapping; keep the first.
-  candidates.erase(
-      std::unique(candidates.begin(), candidates.end(),
-                  [](const TuneCandidate& a, const TuneCandidate& b) {
-                    return a.format == b.format && a.sell_c == b.sell_c &&
-                           a.sell_sigma == b.sell_sigma;
-                  }),
-      candidates.end());
+  rank_candidates(candidates);
 
-  // --- Stage 2: micro-benchmark the model's finalists (trials > 0). ---
+  const unsigned default_threads =
+      opts.thread_candidates.empty() ? 1 : opts.thread_candidates.front();
+  if (opts.trials == 0) {
+    TunedConfig config = config_for(candidates.front(), default_threads);
+    config.candidates = std::move(candidates);
+    return config;
+  }
+
+  // The measured stages run on the tuner's own engine over the widened
+  // matrix — exactly what the caller's fast containers are built from — so
+  // the caller's engine is only read.
+  DoseEngine scratch(std::move(wide), engine.device(),
+                     DoseEngine::Mode::kDouble, kDefaultVectorTpb,
+                     SpmvFamily::kVector, DoseEngine::Backend::kNative);
+
+  // --- Stage 2: micro-benchmark the model's finalists. ---
   std::size_t winner = 0;
-  if (opts.trials > 0) {
-    const std::size_t finalists =
-        std::min<std::size_t>(std::max<std::size_t>(opts.measure_finalists, 1),
-                              candidates.size());
-    for (std::size_t i = 0; i < finalists; ++i) {
-      candidates[i].us_per_product =
-          measure_candidate(engine, candidates[i], opts.trials);
-      candidates[i].measured = true;
-      // Model order is the incumbent; a rival must win by > kHysteresis.
-      if (i > 0 && candidates[i].us_per_product <
-                       candidates[winner].us_per_product * (1.0 - kHysteresis)) {
-        winner = i;
-      }
+  const std::size_t finalists = std::min<std::size_t>(
+      std::max<std::size_t>(opts.measure_finalists, 1), candidates.size());
+  for (std::size_t i = 0; i < finalists; ++i) {
+    candidates[i].us_per_product = measure_candidate(
+        scratch, candidates[i], engine.native_threads(), opts.trials);
+    candidates[i].measured = true;
+    // Model order is the incumbent; a rival must win by > kHysteresis.
+    if (i > 0 && candidates[i].us_per_product <
+                     candidates[winner].us_per_product * (1.0 - kHysteresis)) {
+      winner = i;
     }
   }
   const TuneCandidate& best = candidates[winner];
-  config.format = best.format;
-  if (best.format != FastFormat::kRsFormat) {
-    config.sell_c = best.sell_c;
-    config.sell_sigma = best.sell_sigma;
-  }
-  config.streamed_bytes = best.streamed_bytes;
+  TunedConfig config = config_for(best, default_threads);
+  config.trials = opts.trials;
   config.us_per_product = best.us_per_product;
 
   // --- Stage 3: native thread count for the winning format. ---
-  config.fast_threads =
-      opts.thread_candidates.empty() ? 1 : opts.thread_candidates.front();
-  if (opts.trials > 0 && opts.thread_candidates.size() > 1) {
-    if (best.format != FastFormat::kRsFormat) {
-      engine.set_fast_sell_config(best.sell_c, best.sell_sigma);
-    }
-    engine.set_tier(DoseEngine::Tier::kFast, best.format);
+  if (opts.thread_candidates.size() > 1) {
     double incumbent_us = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < opts.thread_candidates.size(); ++i) {
-      TuneCandidate probe = best;
-      engine.set_fast_threads(opts.thread_candidates[i]);
-      const double us = measure_candidate(engine, probe, opts.trials);
+      const double us = measure_candidate(
+          scratch, best, opts.thread_candidates[i], opts.trials);
       if (i == 0) {
         incumbent_us = us;
       } else if (us < incumbent_us * (1.0 - kHysteresis)) {
@@ -279,32 +267,25 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
 
   // --- Stage 4: batch-width probe (fused rsformat only — the one kernel
   // with a batched traversal). ---
-  config.batch_width = 1;
-  if (opts.trials > 0 && opts.probe_batch > 1 &&
-      best.format == FastFormat::kRsFormat) {
-    engine.set_fast_threads(config.fast_threads);
-    engine.set_tier(DoseEngine::Tier::kFast, FastFormat::kRsFormat);
+  if (opts.probe_batch > 1 && best.format == FastFormat::kRsFormat) {
+    apply_tuned(scratch, config);
+    const DoseEngine::ExecSpec spec{DoseEngine::Tier::kFast,
+                                    FastFormat::kRsFormat};
     const std::size_t K = opts.probe_batch;
-    const std::vector<double> weights(engine.num_spots() * K, 1.0);
-    const std::vector<double> x(engine.num_spots(), 1.0);
-    (void)engine.compute_batch(weights, K);
+    const std::vector<double> weights(scratch.num_spots() * K, 1.0);
+    const std::vector<double> x(scratch.num_spots(), 1.0);
+    (void)scratch.compute_batch(weights, K, spec);
     double batched_us = std::numeric_limits<double>::infinity();
     double looped_us = std::numeric_limits<double>::infinity();
     for (unsigned t = 0; t < opts.trials; ++t) {
-      auto start = std::chrono::steady_clock::now();
-      (void)engine.compute_batch(weights, K);
-      batched_us = std::min(
-          batched_us, std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-      start = std::chrono::steady_clock::now();
-      for (std::size_t j = 0; j < K; ++j) {
-        (void)engine.compute(x);
-      }
-      looped_us = std::min(
-          looped_us, std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
+      batched_us = std::min(batched_us, elapsed_us([&] {
+                              (void)scratch.compute_batch(weights, K, spec);
+                            }));
+      looped_us = std::min(looped_us, elapsed_us([&] {
+                             for (std::size_t j = 0; j < K; ++j) {
+                               (void)scratch.compute(x, spec);
+                             }
+                           }));
     }
     config.batched_speedup = batched_us > 0.0 ? looped_us / batched_us : 0.0;
     config.batch_width = config.batched_speedup > 1.0 ? K : 1;
@@ -312,12 +293,6 @@ TunedConfig autotune_fast_tier(DoseEngine& engine, const TuneOptions& opts) {
 
   config.candidates = std::move(candidates);
   return config;
-}
-
-void apply_tuned(DoseEngine& engine, const TunedConfig& config) {
-  engine.set_fast_sell_config(config.sell_c, config.sell_sigma);
-  engine.set_fast_threads(config.fast_threads);
-  engine.set_auto_fast_format(config.format);
 }
 
 }  // namespace pd::kernels

@@ -18,9 +18,11 @@
 //    runs keep a hysteresis margin: a candidate must beat a model-preferred
 //    rival by >10% wall-clock to override the deterministic order, so quiet
 //    machines reproduce the same config run to run.
-//    The tuner only ever touches fast-tier state (engine tier/format/sell
-//    geometry are restored on exit) — Tier::kBitwise results stay
-//    byte-for-byte unchanged whether or not a config was tuned or applied.
+//    The tuner only reads the engine: it builds and times its candidate
+//    containers on its own engine over the widened stored matrix, and
+//    apply_tuned is the one writer of an engine's fast configuration —
+//    Tier::kBitwise results stay byte-for-byte unchanged whether or not a
+//    config was tuned or applied.
 
 #include <algorithm>
 #include <cstdint>
@@ -55,64 +57,6 @@ struct TuneResult {
 /// The paper's sweep: 32..1024 threads per block.
 inline std::vector<unsigned> default_block_sizes() {
   return {32, 64, 128, 256, 512, 1024};
-}
-
-/// Fast-tier format recommendation (docs/fast_tier.md).  All fast kernels
-/// are DRAM-bound like everything else in this codebase, so the chooser
-/// picks whichever container streams fewer bytes per product.  Ties break
-/// toward rsformat first (no padding, no permutation scatter), then the
-/// quantized SELL-C-σ container before the float one (same layout, smaller
-/// error surface won't flip but the u16 values halve the slot traffic, so a
-/// tie means the float container wasted padding).  Callers feed it
-/// *_streamed_bytes() from the built containers — or estimates, before
-/// paying for the build; pass sellcsq_bytes == 0 when the quantized
-/// container is unavailable (e.g. > 65536 columns).
-struct FastFormatChoice {
-  std::uint64_t rsformat_bytes = 0;
-  std::uint64_t sellcs_bytes = 0;
-  std::uint64_t sellcsq_bytes = 0;  ///< 0 = quantized container unavailable.
-  DoseEngine::FastFormat format = DoseEngine::FastFormat::kRsFormat;
-
-  bool prefer_rsformat() const {
-    return format == DoseEngine::FastFormat::kRsFormat;
-  }
-
-  std::uint64_t chosen_bytes() const {
-    switch (format) {
-      case DoseEngine::FastFormat::kSellCs:
-        return sellcs_bytes;
-      case DoseEngine::FastFormat::kSellCsQ:
-        return sellcsq_bytes;
-      default:
-        return rsformat_bytes;
-    }
-  }
-
-  double ratio_vs(std::uint64_t csr_bytes) const {
-    return csr_bytes == 0 ? 0.0
-                          : static_cast<double>(chosen_bytes()) /
-                                static_cast<double>(csr_bytes);
-  }
-};
-
-inline FastFormatChoice choose_fast_format(std::uint64_t rsformat_bytes,
-                                           std::uint64_t sellcs_bytes,
-                                           std::uint64_t sellcsq_bytes = 0) {
-  FastFormatChoice c;
-  c.rsformat_bytes = rsformat_bytes;
-  c.sellcs_bytes = sellcs_bytes;
-  c.sellcsq_bytes = sellcsq_bytes;
-  c.format = DoseEngine::FastFormat::kRsFormat;
-  std::uint64_t best = rsformat_bytes;
-  // Strict < keeps the tie order rsformat > quantized > float.
-  if (sellcsq_bytes != 0 && sellcsq_bytes < best) {
-    c.format = DoseEngine::FastFormat::kSellCsQ;
-    best = sellcsq_bytes;
-  }
-  if (sellcs_bytes < best) {
-    c.format = DoseEngine::FastFormat::kSellCs;
-  }
-  return c;
 }
 
 /// Delta-vs-full breakeven (docs/delta_engine.md).  A bitwise delta update
@@ -245,15 +189,25 @@ std::uint64_t sellcs_model_bytes(const std::vector<std::uint32_t>& row_nnz,
                                  std::uint64_t num_cols, std::uint32_t C,
                                  std::uint32_t sigma, bool quantized);
 
-/// Run the autotuner on the engine's stored matrix.  Builds fast containers
-/// as needed (they stay cached on the engine), restores the engine's
-/// tier/format/sell-geometry on exit, and never perturbs Tier::kBitwise
-/// results.  Throws nothing beyond allocation/configuration errors.
-TunedConfig autotune_fast_tier(DoseEngine& engine,
+/// Sort candidates into the byte model's rank order — fewest streamed bytes
+/// first, ties broken rsformat (no padding, no permutation) before quantized
+/// SELL before float SELL, then by C and σ — and drop duplicate
+/// (format, C, σ) entries.  The front is the trials == 0 winner.
+void rank_candidates(std::vector<TuneCandidate>& candidates);
+
+/// Run the autotuner on the engine's stored matrix.  Reads the engine only:
+/// every container it builds or times is its own and is dropped on return,
+/// so the engine keeps no fast storage it did not already hold.  rsformat is
+/// a candidate only for non-negative matrices, quantized SELL only for
+/// non-negative matrices with <= 2^16 columns.  Throws nothing beyond
+/// allocation/configuration errors.
+TunedConfig autotune_fast_tier(const DoseEngine& engine,
                                const TuneOptions& opts = {});
 
-/// Apply a TunedConfig to an engine: sell geometry, fast-tier thread count,
-/// and the format FastFormat::kAuto resolves to.  Does not switch tiers.
+/// The one writer of an engine's fast configuration: SELL geometry (cached
+/// SELL containers of another geometry are dropped), fast-tier thread count,
+/// and the format FastFormat::kAuto resolves to.  Does not change the
+/// engine's default spec or any bitwise-tier state.
 void apply_tuned(DoseEngine& engine, const TunedConfig& config);
 
 }  // namespace pd::kernels

@@ -515,18 +515,12 @@ void DoseService::execute_batch(std::unique_lock<pd::Mutex>& lock,
         std::copy(w.begin(), w.end(), weights.begin() + j * spots);
       }
       // Batches are exec_key-uniform (BatchQueue), so the first valid item's
-      // tier speaks for the launch.  Reconfiguring the shared engine is safe
-      // here: the plan's busy mark makes this launch its only writer.
+      // tier and format speak for the launch; they ride with the call, so
+      // the shared engine is never reconfigured.
       const Pending& head = items[valid.front()].entry;
-      const bool fast_launch =
-          head.tier == kernels::DoseEngine::Tier::kFast;
       try {
-        if (fast_launch) {
-          engine->set_tier(kernels::DoseEngine::Tier::kFast,
-                           head.fast_format);
-        }
-        std::vector<std::vector<double>> doses =
-            engine->compute_batch(weights, launch_width);
+        std::vector<std::vector<double>> doses = engine->compute_batch(
+            weights, launch_width, {head.tier, head.fast_format});
         ok_latencies.reserve(launch_width);
         for (std::size_t j = 0; j < launch_width; ++j) {
           Item& item = items[valid[j]];
@@ -539,6 +533,7 @@ void DoseService::execute_batch(std::unique_lock<pd::Mutex>& lock,
           item.entry.promise.set_value(std::move(result));
           ++ok_count;
         }
+        fast_ok = head.tier == kernels::DoseEngine::Tier::kFast ? 1 : 0;
       } catch (const std::exception& e) {
         for (const std::size_t i : valid) {
           DoseResult result;
@@ -549,16 +544,6 @@ void DoseService::execute_batch(std::unique_lock<pd::Mutex>& lock,
           ++fail_count;
         }
         launch_width = 0;
-      }
-      // Later launches of this plan (and rebuilt cache entries' peers)
-      // expect the default tier; hand the engine back bitwise even when the
-      // fast launch threw.  set_tier(kBitwise) cannot throw — it builds
-      // nothing.
-      if (fast_launch) {
-        engine->set_tier(kernels::DoseEngine::Tier::kBitwise);
-        if (launch_width > 0) {
-          ++fast_ok;
-        }
       }
     }
   }

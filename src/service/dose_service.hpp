@@ -25,9 +25,10 @@
 //
 // Requests may opt into the engine's fast tier (docs/fast_tier.md) via
 // SubmitOptions::tier: those doses are tolerance-grade, not bitwise, and
-// ride in tier-uniform batches (BatchQueue::exec_key) so the shared engine
-// is reconfigured only under the plan's busy mark — default-tier traffic
-// keeps the bitwise contract above untouched.
+// ride in tier-uniform batches (BatchQueue::exec_key) whose tier and format
+// are passed to compute_batch as a per-call ExecSpec.  The shared engine is
+// never reconfigured, so default-tier traffic keeps the bitwise contract
+// above untouched.
 
 #include <cstdint>
 #include <future>

@@ -55,8 +55,9 @@ struct EngineParams {
   /// first built, apply the winning TunedConfig, and cache the config next
   /// to the engine.  The config outlives LRU eviction: rebuilt engines get
   /// the cached config re-applied without re-tuning (a hot plan is tuned
-  /// exactly once per register_plan).  Tuning touches only fast-tier state —
-  /// Tier::kBitwise doses stay byte-for-byte unchanged.
+  /// exactly once per register_plan).  Tuning only reads the engine and
+  /// applying writes only its fast configuration — Tier::kBitwise doses stay
+  /// byte-for-byte unchanged.
   bool autotune = false;
   kernels::TuneOptions tune_options{};
 };

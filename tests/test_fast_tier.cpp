@@ -199,29 +199,93 @@ TEST(FastTierCases, SwitchingTiersLeavesBitwiseBitsAlone) {
   EXPECT_EQ(engine.compute(x), before);
 }
 
+TEST(FastTierCases, PerCallSpecMatchesTheDefaultSpec) {
+  // A spec passed per call runs exactly what set_tier's default spec runs —
+  // same container, same threads, same bits — and leaves the default alone.
+  const auto& ds = beams().front();
+  DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), Mode::kHalfDouble,
+                    kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
+  engine.set_native_threads(2);
+  const auto x = weights_for(engine.num_spots(), 13);
+  const std::vector<double> bitwise = engine.compute(x);
+  for (const FastFormat format :
+       {FastFormat::kRsFormat, FastFormat::kSellCs, FastFormat::kSellCsQ}) {
+    const std::vector<double> per_call =
+        engine.compute(x, {Tier::kFast, format});
+    EXPECT_EQ(engine.compute(x), bitwise);  // the default spec is untouched
+    engine.set_tier(Tier::kFast, format);
+    EXPECT_EQ(engine.compute(x), per_call);
+    engine.set_tier(Tier::kBitwise);
+  }
+  // kAuto before any apply_tuned is rsformat.
+  EXPECT_EQ(engine.compute(x, {Tier::kFast, FastFormat::kAuto}),
+            engine.compute(x, {Tier::kFast, FastFormat::kRsFormat}));
+  EXPECT_EQ(engine.compute(x, {Tier::kBitwise, FastFormat::kRsFormat}),
+            bitwise);
+}
+
 TEST(FastTierCases, TunerPrefersTheSmallerContainer) {
   const auto& ds = beams().front();
   DoseEngine engine(ds.beam.matrix, gpusim::make_a100(), Mode::kHalfDouble,
                     kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
-  engine.set_tier(Tier::kFast, FastFormat::kRsFormat);
-  engine.set_tier(Tier::kFast, FastFormat::kSellCs);
-  engine.set_tier(Tier::kFast, FastFormat::kSellCsQ);
-  const std::uint64_t rs = rsformat_streamed_bytes(engine.fast_rs_matrix());
-  const std::uint64_t sell = sellcs_streamed_bytes(engine.fast_sell_matrix());
-  const std::uint64_t sellq =
-      sellcs_q_streamed_bytes(engine.fast_sellq_matrix());
-  const auto choice = choose_fast_format(rs, sell, sellq);
-  EXPECT_EQ(choice.prefer_rsformat(), rs <= sell && rs <= sellq);
-  EXPECT_EQ(choice.chosen_bytes(), std::min({rs, sell, sellq}));
+  TuneOptions opts;
+  opts.trials = 0;
+  const TunedConfig config = autotune_fast_tier(engine, opts);
+  ASSERT_FALSE(config.candidates.empty());
+  std::uint64_t fewest = config.candidates.front().streamed_bytes;
+  for (const TuneCandidate& cand : config.candidates) {
+    fewest = std::min(fewest, cand.streamed_bytes);
+  }
+  const auto bytes_at = [&](FastFormat format, std::uint32_t c,
+                            std::uint32_t sigma) -> std::uint64_t {
+    for (const TuneCandidate& cand : config.candidates) {
+      if (cand.format == format && cand.sell_c == c &&
+          cand.sell_sigma == sigma) {
+        return cand.streamed_bytes;
+      }
+    }
+    ADD_FAILURE() << "candidate missing: C=" << c << " sigma=" << sigma;
+    return 0;
+  };
+  const std::uint64_t rs = bytes_at(FastFormat::kRsFormat, 0, 0);
+  const std::uint64_t sell = bytes_at(FastFormat::kSellCs, 32, 1024);
+  const std::uint64_t sellq = bytes_at(FastFormat::kSellCsQ, 32, 1024);
+  // The winner streams the fewest bytes of every candidate.
+  EXPECT_EQ(config.streamed_bytes, fewest);
+  EXPECT_EQ(config.format == FastFormat::kRsFormat, rs == fewest);
   const std::uint64_t csr = engine.stored_matrix_as_double().bytes();
   // The whole point of the tier: the chosen container streams fewer bytes.
-  EXPECT_LT(choice.ratio_vs(csr), 1.0);
+  EXPECT_LT(config.streamed_bytes, csr);
   // And the fused container meets the paper-case headline (<= 60% of
   // CSR-double traffic).
   EXPECT_LE(static_cast<double>(rs), 0.60 * static_cast<double>(csr));
   // The fast-tier-v2 headline: the quantized SELL container streams at most
-  // half the float SELL container's bytes.
+  // half the float SELL container's bytes (default geometry, C=32 σ=1024).
   EXPECT_LE(static_cast<double>(sellq), 0.50 * static_cast<double>(sell));
+  // The model bytes are the built containers' bytes.
+  EXPECT_EQ(rs, rsformat_streamed_bytes(rsformat::RsMatrix::from_csr(
+                    engine.stored_matrix_as_double())));
+}
+
+// One executor runs both tiers: a handle at another thread count shares the
+// pool, which only grows — alternating counts never rebuild it.
+TEST(FastTierExecutor, AlternatingThreadCountsKeepOnePool) {
+  NativeExecutor exec;
+  exec.set_threads(2);
+  std::vector<int> hits(8, 0);
+  const auto body = [&](std::size_t p) { ++hits[p]; };
+  exec.run(2, body);
+  EXPECT_EQ(exec.pool_workers(), 1u);
+  exec.at_threads(4).run(4, body);
+  EXPECT_EQ(exec.pool_workers(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    exec.run(2, body);
+    exec.at_threads(1).run(3, body);  // serial: never touches the pool
+    exec.at_threads(4).run(4, body);
+    EXPECT_EQ(exec.pool_workers(), 3u);
+  }
+  EXPECT_EQ(exec.requested_threads(), 2u);  // handles never write it back
+  EXPECT_EQ(hits, (std::vector<int>{11, 11, 7, 4, 0, 0, 0, 0}));
 }
 
 // --- batched fused rsformat --------------------------------------------------
@@ -430,6 +494,81 @@ TEST(FastTierService, PerRequestTiersShareAPlanSafely) {
   const service::ServiceStats stats = svc.stats();
   EXPECT_GT(stats.fast_batches, 0u);
   EXPECT_GT(stats.batches, stats.fast_batches);  // bitwise launches too
+}
+
+// A fast launch that throws fails only its own requests.  rsformat rejects
+// negative values, so every kRsFormat batch on this plan throws inside
+// compute_batch; bitwise and float-SELL batches interleaved on the same plan
+// and engine must still resolve — bitwise ones bit-equal to a sequential
+// engine.
+TEST(FastTierService, ThrowingFastLaunchLeavesTheSharedPlanServing) {
+  const std::uint64_t rows = 300, cols = 90;
+  const auto plan_matrix = [] {
+    Rng rng(78);
+    sparse::CsrF64 m = sparse::random_csr(rng, 300, 90, 12.0,
+                                          sparse::RandomStructure::kSkewed);
+    m.values[m.values.size() / 2] = -0.75;
+    return m;
+  };
+
+  service::ServiceConfig config;
+  config.workers = 2;
+  config.batch_cap = 4;
+  config.flush_deadline_ms = 0.5;
+  config.engine.device = gpusim::make_a100();
+  config.engine.backend = Backend::kNative;
+  service::DoseService svc(config);
+  svc.register_plan("neg", plan_matrix);
+
+  DoseEngine oracle(plan_matrix(), gpusim::make_a100(), Mode::kHalfDouble,
+                    kDefaultVectorTpb, SpmvFamily::kVector, Backend::kNative);
+  const sparse::CsrF64 wide = oracle.stored_matrix_as_double();
+  EXPECT_THROW(oracle.set_tier(Tier::kFast, FastFormat::kRsFormat),
+               pd::Error);
+
+  struct Sent {
+    service::Ticket ticket;
+    std::vector<double> weights;
+    Tier tier;
+    FastFormat format;
+  };
+  std::vector<Sent> sent;
+  for (int i = 0; i < 30; ++i) {
+    Rng rng(2000 + i);
+    std::vector<double> w = sparse::random_vector(rng, cols, 0.0, 2.0);
+    service::SubmitOptions opts;
+    opts.tier = i % 3 == 0 ? Tier::kBitwise : Tier::kFast;
+    opts.fast_format =
+        i % 3 == 1 ? FastFormat::kRsFormat : FastFormat::kSellCs;
+    Sent s{svc.submit("neg", w, opts), w, opts.tier, opts.fast_format};
+    sent.push_back(std::move(s));
+  }
+  svc.drain();
+
+  std::uint64_t failed = 0;
+  for (Sent& s : sent) {
+    service::DoseResult r = s.ticket.result.get();
+    if (s.tier == Tier::kFast && s.format == FastFormat::kRsFormat) {
+      EXPECT_EQ(r.status, service::RequestStatus::kFailed);
+      EXPECT_EQ(r.error.rfind("compute_batch failed", 0), 0u) << r.error;
+      ++failed;
+      continue;
+    }
+    ASSERT_EQ(r.status, service::RequestStatus::kOk) << r.error;
+    ASSERT_EQ(r.dose.size(), rows);
+    const std::vector<double> ref = oracle.compute(s.weights);
+    if (s.tier == Tier::kBitwise) {
+      EXPECT_EQ(r.dose, ref);
+    } else {
+      expect_within(r.dose, ref,
+                    derive_bounds(wide, s.weights, nullptr, kUlp24, kUlp53),
+                    "service SELL request beside a throwing plan");
+    }
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_EQ(stats.completed, sent.size() - failed);
+  EXPECT_GT(stats.fast_batches, 0u);  // the SELL launches
 }
 
 TEST(FastTierService, QueueSplitsMixedTierBatchesUniformly) {

@@ -1,16 +1,18 @@
 // Fast-tier autotuner suite (kernels/tuner.hpp, docs/fast_tier.md).
 //
 // Pins the autotuner's three contracts:
-//  (a) decision table — choose_fast_format picks the fewest streamed bytes
-//      with the documented tie order (rsformat > quantized SELL > float
-//      SELL), and degrades to the two-way choice when quantized is
-//      unavailable;
+//  (a) decision table — the byte model's ranking (rank_candidates, the
+//      trials == 0 winner of autotune_fast_tier) picks the fewest streamed
+//      bytes with the documented tie order (rsformat > quantized SELL >
+//      float SELL), and the candidate set drops rsformat and quantized SELL
+//      where they cannot be built;
 //  (b) determinism — trials == 0 (the CI pin, PROTONDOSE_TUNER_TRIALS=0)
 //      runs the byte model only, so repeated tunes of the same matrix make
 //      the same decision; measured runs still return a valid config;
-//  (c) safety — tuning and applying a config never perturbs Tier::kBitwise
-//      bits, and the EngineCache keeps a plan's config across LRU eviction
-//      (a hot plan is tuned exactly once per register_plan).
+//  (c) safety — tuning only reads the engine (no fast container is left on
+//      it), applying a config never perturbs Tier::kBitwise bits, and the
+//      EngineCache keeps a plan's config across LRU eviction (a hot plan is
+//      tuned exactly once per register_plan).
 //
 // Suite names start with Tuner so CI can run `ctest -R "FastTier|Tuner"`
 // under the sanitizers.
@@ -55,7 +57,9 @@ TuneOptions model_only() {
 // --- (a) decision table ------------------------------------------------------
 
 TEST(TunerDecisionTable, PicksFewestBytesWithDocumentedTieOrder) {
-  // Each row: {rs, sell, sellq} bytes -> expected format.
+  // Each row: {rs, sell, sellq} bytes -> expected format; 0 = the container
+  // is not a candidate (rsformat and quantized SELL need non-negative
+  // values, quantized SELL also <= 2^16 columns).
   struct Row {
     std::uint64_t rs, sell, sellq;
     FastFormat expect;
@@ -70,19 +74,80 @@ TEST(TunerDecisionTable, PicksFewestBytesWithDocumentedTieOrder) {
       {200, 100, 0, FastFormat::kSellCs},       // quantized unavailable
       {100, 200, 0, FastFormat::kRsFormat},     // two-way, rsformat wins
       {100, 100, 0, FastFormat::kRsFormat},     // two-way tie -> rsformat
+      {0, 100, 0, FastFormat::kSellCs},         // negative values: SELL only
   };
   for (const Row& row : rows) {
-    const FastFormatChoice c = choose_fast_format(row.rs, row.sell, row.sellq);
-    EXPECT_EQ(c.format, row.expect)
+    // Fed in reverse tie order, so the ranking — not the input order — has
+    // to produce the documented winner.
+    std::vector<TuneCandidate> candidates(1);
+    candidates[0].format = FastFormat::kSellCs;
+    candidates[0].sell_c = 32;
+    candidates[0].sell_sigma = 1024;
+    candidates[0].streamed_bytes = row.sell;
+    if (row.sellq != 0) {
+      TuneCandidate q = candidates[0];
+      q.format = FastFormat::kSellCsQ;
+      q.streamed_bytes = row.sellq;
+      candidates.push_back(q);
+    }
+    if (row.rs != 0) {
+      TuneCandidate rs;
+      rs.format = FastFormat::kRsFormat;
+      rs.streamed_bytes = row.rs;
+      candidates.push_back(rs);
+    }
+    rank_candidates(candidates);
+    EXPECT_EQ(candidates.front().format, row.expect)
         << "rs=" << row.rs << " sell=" << row.sell << " sellq=" << row.sellq;
     const std::uint64_t expect_bytes = row.expect == FastFormat::kRsFormat
                                            ? row.rs
                                        : row.expect == FastFormat::kSellCsQ
                                            ? row.sellq
                                            : row.sell;
-    EXPECT_EQ(c.chosen_bytes(), expect_bytes);
-    EXPECT_EQ(c.prefer_rsformat(), row.expect == FastFormat::kRsFormat);
+    EXPECT_EQ(candidates.front().streamed_bytes, expect_bytes);
   }
+}
+
+// autotune_fast_tier's winner on real matrices: the minimum streamed bytes
+// over its own candidates, the tie order among equal-byte candidates, and
+// the candidate set's dependence on the matrix's values and width.
+TEST(TunerDecisionTable, WinnerIsTheFewestBytesCandidate) {
+  const auto rank = [](FastFormat f) {
+    return f == FastFormat::kRsFormat ? 0 : f == FastFormat::kSellCsQ ? 1 : 2;
+  };
+  const auto check = [&](const sparse::CsrF64& matrix, bool expect_rs,
+                         bool expect_sellq, const char* what) {
+    const DoseEngine engine(sparse::CsrF64(matrix), gpusim::make_a100(),
+                            Mode::kDouble, kDefaultVectorTpb,
+                            SpmvFamily::kVector, Backend::kNative);
+    const TunedConfig config = autotune_fast_tier(engine, model_only());
+    ASSERT_FALSE(config.candidates.empty()) << what;
+    bool has_rs = false, has_sellq = false;
+    for (const TuneCandidate& c : config.candidates) {
+      has_rs = has_rs || c.format == FastFormat::kRsFormat;
+      has_sellq = has_sellq || c.format == FastFormat::kSellCsQ;
+      EXPECT_LE(config.streamed_bytes, c.streamed_bytes) << what;
+      if (c.streamed_bytes == config.streamed_bytes) {
+        EXPECT_LE(rank(config.format), rank(c.format)) << what;
+      }
+    }
+    EXPECT_EQ(has_rs, expect_rs) << what;
+    EXPECT_EQ(has_sellq, expect_sellq) << what;
+  };
+  Rng rng(5);
+  for (const auto& ds : cases::generate_all_beams(0.2)) {
+    check(ds.beam.matrix, true, true, ds.label.c_str());
+  }
+  const sparse::CsrF64 skewed =
+      sparse::random_csr(rng, 400, 120, 10.0, sparse::RandomStructure::kSkewed);
+  check(skewed, true, true, "skewed");
+  sparse::CsrF64 negative = skewed;
+  negative.values[negative.values.size() / 3] = -0.5;
+  check(negative, false, false, "negative value");
+  const sparse::CsrF64 wide = sparse::random_csr(
+      rng, 64, (std::uint64_t{1} << 16) + 1, 4.0,
+      sparse::RandomStructure::kSkewed);
+  check(wide, true, false, "2^16 + 1 columns");
 }
 
 TEST(TunerDecisionTable, ModelBytesMatchTheRealBuilders) {
@@ -175,22 +240,33 @@ TEST(TunerSafety, TuningNeverPerturbsBitwiseBits) {
       sparse::random_vector(rng, engine.num_spots(), 0.0, 2.0);
   const std::vector<double> before = engine.compute(x);
 
-  const TunedConfig config = autotune_fast_tier(engine, model_only());
-  EXPECT_EQ(engine.tier(), Tier::kBitwise);  // tuner restored the tier
-  EXPECT_EQ(engine.compute(x), before);
+  // Tuning reads the engine only: its containers are its own, so none is
+  // left behind on the engine — in either tuner mode.
+  TuneOptions measured;
+  measured.trials = 1;
+  measured.probe_batch = 2;
+  for (const TuneOptions& opts : {model_only(), measured}) {
+    (void)autotune_fast_tier(engine, opts);
+    EXPECT_THROW((void)engine.fast_rs_matrix(), pd::Error);
+    EXPECT_THROW((void)engine.fast_sell_matrix(), pd::Error);
+    EXPECT_THROW((void)engine.fast_sellq_matrix(), pd::Error);
+    EXPECT_EQ(engine.compute(x), before);
+  }
 
   // Applying the config (tuned threads, geometry, kAuto resolution) must
-  // not touch the bitwise path either — fast threads live on a separate
-  // executor.
+  // not touch the bitwise path either — fast threads are a per-call count.
+  const TunedConfig config = autotune_fast_tier(engine, model_only());
   apply_tuned(engine, config);
   EXPECT_EQ(engine.compute(x), before);
 
   // And a fast kAuto compute resolves to the tuned format without touching
   // the bitwise bits afterwards.
-  engine.set_tier(Tier::kFast, FastFormat::kAuto);
-  EXPECT_EQ(engine.fast_format(), config.format);
-  (void)engine.compute(x);
-  engine.set_tier(Tier::kBitwise);
+  const std::vector<double> fast_auto =
+      engine.compute(x, {Tier::kFast, FastFormat::kAuto});
+  EXPECT_EQ(fast_auto, engine.compute(x, {Tier::kFast, config.format}));
+  if (config.format == FastFormat::kSellCsQ) {
+    EXPECT_EQ(engine.fast_sellq_matrix().chunk_height, config.sell_c);
+  }
   EXPECT_EQ(engine.compute(x), before);
 }
 

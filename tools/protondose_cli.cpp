@@ -152,26 +152,19 @@ int run_spmv_fast_tier(const pd::CliParser& cli,
   const std::string fmt_str = cli.get("format");
   FastFormat fmt;
   std::string fmt_name = fmt_str;
+  unsigned fast_threads = engine.native_threads();
   if (fmt_str == "auto") {
-    engine.set_tier(Tier::kFast, FastFormat::kRsFormat);
-    engine.set_tier(Tier::kFast, FastFormat::kSellCs);
-    std::uint64_t sellq_bytes = 0;
-    try {
-      engine.set_tier(Tier::kFast, FastFormat::kSellCsQ);
-      sellq_bytes =
-          pd::kernels::sellcs_q_streamed_bytes(engine.fast_sellq_matrix());
-    } catch (const pd::Error&) {
-      // Quantized container unavailable (negative values or > 2^16 spots);
-      // the three-way choice degrades to the float pair.
-    }
-    const auto choice = pd::kernels::choose_fast_format(
-        pd::kernels::rsformat_streamed_bytes(engine.fast_rs_matrix()),
-        pd::kernels::sellcs_streamed_bytes(engine.fast_sell_matrix()),
-        sellq_bytes);
-    fmt = choice.format;
-    fmt_name = choice.format == FastFormat::kRsFormat ? "rsformat"
-               : choice.format == FastFormat::kSellCsQ ? "sellcsq"
-                                                       : "sellcs";
+    // The autotuner picks the container (and its SELL geometry and fast
+    // thread count); PROTONDOSE_TUNER_TRIALS=0 makes the pick byte-model
+    // only.
+    const pd::kernels::TunedConfig tuned = pd::kernels::autotune_fast_tier(
+        engine, pd::kernels::tune_options_from_env());
+    pd::kernels::apply_tuned(engine, tuned);
+    fmt = tuned.format;
+    fast_threads = tuned.fast_threads;
+    fmt_name = tuned.format == FastFormat::kRsFormat ? "rsformat"
+               : tuned.format == FastFormat::kSellCsQ ? "sellcsq"
+                                                      : "sellcs";
   } else if (fmt_str == "rsformat") {
     fmt = FastFormat::kRsFormat;
   } else if (fmt_str == "sellcs") {
@@ -217,8 +210,7 @@ int run_spmv_fast_tier(const pd::CliParser& cli,
   pd::TextTable t({"quantity", "value"});
   t.add_row({"tier", "fast (" + fmt_name + ", " + variant + ")"});
   t.add_row({"mode", mode_str});
-  t.add_row({"native threads",
-             std::to_string(engine.native_threads())});
+  t.add_row({"fast threads", std::to_string(fast_threads)});
   t.add_row({"wall-clock / product", pd::fmt_sci(best_s, 3) + " s"});
   t.add_row({"streamed bytes",
              pd::fmt_bytes(static_cast<double>(fast_bytes)) + " vs " +
